@@ -31,9 +31,9 @@ Line pattern_line(std::uint64_t tag) {
   return l;
 }
 
-// Worker count for the recovery full-tree rebuild (--jobs=N; 0 = auto).
-// The rebuilt metadata is bit-identical for any value, so this only moves
-// wall-clock.
+// Worker count for recovery's hashing (--jobs=N; 0 = auto). The report
+// and the rebuilt metadata are bit-identical for any value, so this only
+// moves wall-clock.
 std::size_t g_jobs = 1;
 
 DesignConfig base_config(std::uint32_t n = 16) {

@@ -1,5 +1,7 @@
 #include "audit/invariant_auditor.h"
 
+#include <array>
+#include <span>
 #include <unordered_set>
 
 #include "secure/counter_block.h"
@@ -147,12 +149,13 @@ void InvariantAuditor::check_image_against_roots(const core::AuditView& view,
   ++checks_;
   ++image_verifications_;
   const secure::MerkleEngine::NodeReader reader = image_reader(view);
-  const bool matches_old =
-      view.merkle->find_inconsistencies(reader, view.tcb->root_old).empty();
-  if (matches_old) return;
-  const bool matches_new =
-      !committed_only &&
-      view.merkle->find_inconsistencies(reader, view.tcb->root_new).empty();
+  // One pass checks the image against ROOT_old and, unless only the
+  // committed state counts, ROOT_new.
+  const std::array<Line, 2> roots = {view.tcb->root_old, view.tcb->root_new};
+  const auto bad = view.merkle->find_inconsistencies(
+      reader, std::span<const Line>(roots).first(committed_only ? 1 : 2));
+  if (bad[0].empty()) return;
+  const bool matches_new = !committed_only && bad[1].empty();
   CCNVM_CHECK_MSG(matches_new,
                   committed_only
                       ? "committed NVM tree does not verify against the "

@@ -22,6 +22,18 @@ std::uint64_t CcNvmDesign::pre_write_back(Addr addr) {
   // write-back blocking cost. It runs in parallel with the encryption and
   // tree-update phase (§4.2), so it is folded in via max() at the
   // metadata hook rather than added here.
+  const bool overflows =
+      functional() &&
+      meta_->counter(addr / kPageSize).minors[block_in_page(addr)] ==
+          secure::CounterBlock::kMinorMax;
+  if (tcb_.overflow_pending && overflows) {
+    // Trigger (3), overflow form: the TCB flag names one page in the
+    // re-encryption window, so a second overflow — another page's or the
+    // same page's again — first commits the one in flight. Otherwise
+    // recovery meets a page whose major ran ahead of an unflagged (or
+    // doubly bumped) counter line and reports a spoof.
+    sync_stall_ += drain(DrainCrashPoint::kNone, DrainTrigger::kUpdateLimit);
+  }
   const std::vector<Addr> addrs = metadata_addrs_for(addr);
   pending_daq_cycles_ = timing_.daq_lookup_latency * addrs.size();
   if (!daq_.can_accept(addrs)) {

@@ -91,8 +91,10 @@ struct DesignConfig {
   /// them. Values >= the tree height degenerate to the strict variant
   /// (every internal level persisted). Ignored by the other designs.
   std::uint32_t persist_level = 1;
-  /// Workers for the recovery step-4 full-tree rebuild (1 = inline,
-  /// 0 = hardware concurrency). Bit-identical for any value.
+  /// Workers for recovery's hashing — tree checks, counter search,
+  /// data-HMAC scans, full-tree rebuild (1 = inline, 0 = hardware
+  /// concurrency). Image accesses stay on the calling thread; the report
+  /// and the image are bit-identical for any value.
   std::size_t recovery_jobs = 1;
   /// Optional NVM media backend factory (nvm/backend.h), called once at
   /// construction with the layout's total footprint in bytes. Null keeps

@@ -47,6 +47,9 @@ enum class DrainCrashPoint {
 enum class DrainTrigger {
   kDaqPressure = 0,
   kDirtyEviction = 1,
+  /// A counter line hit a recovery search bound: N updates since it
+  /// became dirty, or a second minor overflow while the flagged page's
+  /// re-encryption is still uncommitted.
   kUpdateLimit = 2,
   kExplicit = 3
 };

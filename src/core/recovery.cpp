@@ -41,18 +41,82 @@ std::uint64_t tree_nodes_above(const nvm::NvmLayout& layout,
   return nodes;
 }
 
+// Pages per scan run: the run's written blocks (at most 4096 lines, 256 KiB
+// of ciphertext) are read once and then hashed as batches.
+constexpr std::uint64_t kRunPages = 64;
+
 }  // namespace
 
-bool RecoveryManager::block_written(Addr data_addr) const {
-  const Addr dh_line = in_.layout->dh_line_addr(data_addr);
-  if (!in_.image->has_line(dh_line)) return false;
-  return !tag_is_zero(stored_dh(data_addr));
+CounterBlock RecoveryManager::persisted_counters(std::uint64_t leaf) const {
+  return CounterBlock::unpack(
+      in_.image->read_line(in_.layout->data_capacity() + leaf * kLineSize));
 }
 
-Tag128 RecoveryManager::stored_dh(Addr data_addr) const {
-  const Line line = in_.image->read_line(in_.layout->dh_line_addr(data_addr));
-  return secure::dh_tag_in_line(line,
-                                in_.layout->dh_offset_in_line(data_addr));
+void RecoveryManager::scan_page(std::uint64_t leaf,
+                                std::vector<WrittenBlock>& out) const {
+  const nvm::NvmLayout& layout = *in_.layout;
+  // A page's tags fill whole DH lines in block order, so a line is read
+  // when its first slot comes up.
+  Line dh_line{};
+  for (std::size_t b = 0; b < kBlocksPerPage; ++b) {
+    const Addr data_addr = leaf * kPageSize + b * kLineSize;
+    const std::size_t slot = layout.dh_offset_in_line(data_addr);
+    if (slot == 0) {
+      dh_line = in_.image->read_line(layout.dh_line_addr(data_addr));
+    }
+    const Tag128 tag = secure::dh_tag_in_line(dh_line, slot);
+    if (tag_is_zero(tag)) continue;
+    WrittenBlock& wb = out.emplace_back();
+    wb.addr = data_addr;
+    wb.ciphertext = in_.image->read_line(data_addr);
+    wb.stored_dh = tag;
+    if (in_.use_ecc_oracle && in_.image->has_ecc(data_addr)) {
+      wb.has_ecc = true;
+      wb.ecc = in_.image->read_ecc(data_addr);
+    }
+  }
+}
+
+void RecoveryManager::data_hmacs(std::span<const secure::DataHmacReq> reqs,
+                                 std::span<Tag128> out) const {
+  constexpr std::size_t kChunk = 512;
+  const std::size_t chunks = (reqs.size() + kChunk - 1) / kChunk;
+  parallel_for(chunks, in_.jobs, [&](std::size_t c) {
+    const std::size_t begin = c * kChunk;
+    const std::size_t n = std::min(kChunk, reqs.size() - begin);
+    in_.cme->data_hmac_many(reqs.subspan(begin, n), out.subspan(begin, n));
+  });
+}
+
+std::vector<Addr> RecoveryManager::verify_data_hmacs() const {
+  const nvm::NvmLayout& layout = *in_.layout;
+  std::vector<Addr> bad;
+  std::vector<CounterBlock> counters;
+  std::vector<WrittenBlock> run;
+  std::vector<secure::DataHmacReq> reqs;
+  std::vector<Tag128> tags;
+  for (std::uint64_t first = 0; first < layout.num_pages();
+       first += kRunPages) {
+    const std::uint64_t end = std::min(first + kRunPages, layout.num_pages());
+    counters.clear();
+    run.clear();
+    for (std::uint64_t leaf = first; leaf < end; ++leaf) {
+      counters.push_back(persisted_counters(leaf));
+      scan_page(leaf, run);
+    }
+    reqs.clear();
+    for (const WrittenBlock& wb : run) {
+      const CounterBlock& cb = counters[wb.addr / kPageSize - first];
+      reqs.push_back({&wb.ciphertext, wb.addr,
+                      cb.pad_counter(block_in_page(wb.addr))});
+    }
+    tags.resize(reqs.size());
+    data_hmacs(reqs, tags);
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      if (!(tags[i] == run[i].stored_dh)) bad.push_back(run[i].addr);
+    }
+  }
+  return bad;
 }
 
 RecoveryReport RecoveryManager::run() {
@@ -86,81 +150,121 @@ RecoveryManager::CounterRecovery RecoveryManager::recover_counters() const {
   CounterRecovery out;
   out.blocks.resize(layout.num_pages());
 
-  for (std::uint64_t leaf = 0; leaf < layout.num_pages(); ++leaf) {
-    const Addr counter_addr = layout.data_capacity() + leaf * kLineSize;
-    const CounterBlock persisted =
-        CounterBlock::unpack(in_.image->read_line(counter_addr));
-    const bool overflow_page =
-        in_.tcb.overflow_pending && in_.tcb.overflow_leaf == leaf;
-
-    if (overflow_page) {
-      recover_overflow_page(leaf, persisted, out);
-      continue;
-    }
-
-    CounterBlock cb = persisted;
-    for (std::size_t b = 0; b < kBlocksPerPage; ++b) {
-      const Addr data_addr = leaf * kPageSize + b * kLineSize;
-      if (!block_written(data_addr)) continue;
-
-      const Line ciphertext = in_.image->read_line(data_addr);
-      const Tag128 want = stored_dh(data_addr);
-
-      // Candidate counters in increment order: the persisted minor and up
-      // to N steps forward (N bounds per-line staleness via the
-      // update-limit drain trigger).
-      bool found = false;
-      for (std::uint64_t k = 0; k <= in_.update_limit; ++k) {
-        const std::uint64_t minor = cb.minors[b] + k;
-        if (minor > CounterBlock::kMinorMax) break;
-        const crypto::PadCounter cand{cb.major, minor};
-        if (in_.use_ecc_oracle && in_.image->has_ecc(data_addr)) {
-          // Osiris: cheap plaintext-ECC filter before the HMAC authority.
-          ++out.ecc_checks;
-          const Line guess = in_.cme->crypt(ciphertext, data_addr, cand);
-          secure::EccBits stored;
-          stored.bytes = in_.image->read_ecc(data_addr);
-          if (!secure::line_matches_ecc(guess, stored)) continue;
-        }
-        if (in_.cme->data_hmac(ciphertext, data_addr, cand) == want) {
-          cb.minors[b] = static_cast<std::uint8_t>(minor);
-          out.retries += k;
-          out.per_block_retries[data_addr] = k;
-          if (k > 0) ++out.advanced;
-          found = true;
-          break;
-        }
+  // Pages go in runs: a run's written blocks are read once, then searched
+  // in batched waves (search_counters). Waves find failures out of address
+  // order, so they are sorted at the end: the report lists them by address.
+  std::vector<WrittenBlock> run;
+  std::vector<WrittenBlock> overflow_page;
+  for (std::uint64_t first = 0; first < layout.num_pages();
+       first += kRunPages) {
+    const std::uint64_t end = std::min(first + kRunPages, layout.num_pages());
+    run.clear();
+    for (std::uint64_t leaf = first; leaf < end; ++leaf) {
+      out.blocks[leaf] = persisted_counters(leaf);
+      if (in_.tcb.overflow_pending && in_.tcb.overflow_leaf == leaf) {
+        overflow_page.clear();
+        scan_page(leaf, overflow_page);
+        recover_overflow_page(leaf, overflow_page, out);
+        continue;
       }
-      if (!found) out.failed_blocks.push_back(data_addr);
+      scan_page(leaf, run);
     }
-    out.blocks[leaf] = cb;
+    search_counters(run, out);
   }
+  std::sort(out.failed_blocks.begin(), out.failed_blocks.end());
   return out;
 }
 
-void RecoveryManager::recover_overflow_page(std::uint64_t leaf,
-                                            const CounterBlock& persisted,
-                                            CounterRecovery& out) const {
+void RecoveryManager::search_counters(std::span<const WrittenBlock> run,
+                                      CounterRecovery& out) const {
+  // Candidate counters per block in increment order: the persisted minor
+  // and up to N steps forward (N bounds per-line staleness via the
+  // update-limit drain trigger). Wave k tries candidate k of every block
+  // still unmatched, so per block the candidates, the first match and the
+  // retry count are those of a one-block-at-a-time search; only the
+  // interleaving across blocks differs, and each wave is one batch across
+  // the SIMD lanes. In a crash image almost every block matches in wave 0.
+  std::vector<std::size_t> pending(run.size());
+  for (std::size_t i = 0; i < run.size(); ++i) pending[i] = i;
+  std::vector<std::size_t> tried;
+  std::vector<std::size_t> next;
+  std::vector<secure::DataHmacReq> reqs;
+  std::vector<Tag128> tags;
+  for (std::uint64_t k = 0; !pending.empty() && k <= in_.update_limit; ++k) {
+    tried.clear();
+    next.clear();
+    reqs.clear();
+    for (const std::size_t i : pending) {
+      const WrittenBlock& wb = run[i];
+      const CounterBlock& cb = out.blocks[wb.addr / kPageSize];
+      const std::uint64_t minor = cb.minors[block_in_page(wb.addr)] + k;
+      if (minor > CounterBlock::kMinorMax) {
+        out.failed_blocks.push_back(wb.addr);
+        continue;
+      }
+      const crypto::PadCounter cand{cb.major, minor};
+      if (wb.has_ecc) {
+        // Osiris: cheap plaintext-ECC filter before the HMAC authority.
+        ++out.ecc_checks;
+        const Line guess = in_.cme->crypt(wb.ciphertext, wb.addr, cand);
+        secure::EccBits stored;
+        stored.bytes = wb.ecc;
+        if (!secure::line_matches_ecc(guess, stored)) {
+          next.push_back(i);
+          continue;
+        }
+      }
+      reqs.push_back({&wb.ciphertext, wb.addr, cand});
+      tried.push_back(i);
+    }
+    tags.resize(reqs.size());
+    data_hmacs(reqs, tags);
+    for (std::size_t j = 0; j < tried.size(); ++j) {
+      const WrittenBlock& wb = run[tried[j]];
+      if (!(tags[j] == wb.stored_dh)) {
+        next.push_back(tried[j]);
+        continue;
+      }
+      out.blocks[wb.addr / kPageSize].minors[block_in_page(wb.addr)] =
+          static_cast<std::uint8_t>(reqs[j].counter.minor);
+      out.retries += k;
+      if (k > 0) {
+        out.per_block_retries[wb.addr] = k;
+        ++out.advanced;
+      }
+    }
+    pending.swap(next);
+  }
+  for (const std::size_t i : pending) out.failed_blocks.push_back(run[i].addr);
+}
+
+void RecoveryManager::recover_overflow_page(
+    std::uint64_t leaf, std::span<const WrittenBlock> written,
+    CounterRecovery& out) const {
   // A flagged overflow means the crash hit the page re-encryption window:
   // every block is either already re-encrypted under (major+1, small
   // minor) or still under the old (major, stale minor). Recovery decides
   // per block — the two counter families cannot both match one data HMAC —
   // and then *completes* the re-encryption so the page ends uniformly at
   // major+1, which is the only state a single counter line can describe.
+  // One page, entered at most once per recovery: searched serially.
   const nvm::NvmLayout& layout = *in_.layout;
+  const CounterBlock persisted = out.blocks[leaf];
   CounterBlock cb;
   cb.major = persisted.major + 1;
   cb.minors.fill(0);
 
-  for (std::size_t b = 0; b < kBlocksPerPage; ++b) {
-    const Addr data_addr = leaf * kPageSize + b * kLineSize;
-    if (!block_written(data_addr)) continue;
-    const Line ciphertext = in_.image->read_line(data_addr);
-    const Tag128 want = stored_dh(data_addr);
+  for (const WrittenBlock& wb : written) {
+    const Addr data_addr = wb.addr;
+    const std::size_t b = block_in_page(data_addr);
+    const Line& ciphertext = wb.ciphertext;
+    const Tag128& want = wb.stored_dh;
 
     bool found = false;
-    // New family first: (major+1, 0..N).
-    for (std::uint64_t m = 0; m <= in_.update_limit && !found; ++m) {
+    // New family first: (major+1, 0..N), within the minor range.
+    const std::uint64_t new_limit =
+        std::min<std::uint64_t>(in_.update_limit, CounterBlock::kMinorMax);
+    for (std::uint64_t m = 0; m <= new_limit && !found; ++m) {
       const crypto::PadCounter cand{persisted.major + 1, m};
       if (in_.cme->data_hmac(ciphertext, data_addr, cand) == want) {
         cb.minors[b] = static_cast<std::uint8_t>(m);
@@ -200,9 +304,12 @@ void RecoveryManager::recover_overflow_page(std::uint64_t leaf,
 Line RecoveryManager::rebuild_tree(const std::vector<CounterBlock>& blocks,
                                    bool persist) const {
   const nvm::NvmLayout& layout = *in_.layout;
+  // Each counter line is packed once, for the tree and for the image.
+  std::vector<Line> leaves(blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) leaves[i] = blocks[i].pack();
   const auto leaf_reader = [&](const NodeId& id) -> Line {
     CCNVM_CHECK(id.level == 0);
-    return blocks[id.index].pack();
+    return leaves[id.index];
   };
   const auto writer = [&](const NodeId& id, const Line& value) {
     if (persist) in_.image->write_line(layout.node_addr(id), value);
@@ -211,7 +318,7 @@ Line RecoveryManager::rebuild_tree(const std::vector<CounterBlock>& blocks,
   if (persist) {
     for (std::uint64_t leaf = 0; leaf < layout.num_pages(); ++leaf) {
       in_.image->write_line(layout.data_capacity() + leaf * kLineSize,
-                            blocks[leaf].pack());
+                            leaves[leaf]);
     }
   }
   return root;
@@ -229,7 +336,8 @@ RecoveryReport RecoveryManager::run_strict() {
     }
     return in_.image->read_line(layout.node_addr(id));
   };
-  const auto bad = in_.merkle->find_inconsistencies(reader, in_.tcb.root_new);
+  const auto bad =
+      in_.merkle->find_inconsistencies(reader, in_.tcb.root_new, in_.jobs);
   for (const NodeId& id : bad) {
     report.replayed_nodes.push_back(id);
     if (id.level == 0) {
@@ -237,19 +345,9 @@ RecoveryReport RecoveryManager::run_strict() {
     }
   }
   // Check every written block's data HMAC against its (current) counter.
-  for (std::uint64_t leaf = 0; leaf < layout.num_pages(); ++leaf) {
-    const CounterBlock cb = CounterBlock::unpack(
-        in_.image->read_line(layout.data_capacity() + leaf * kLineSize));
-    for (std::size_t b = 0; b < kBlocksPerPage; ++b) {
-      const Addr data_addr = leaf * kPageSize + b * kLineSize;
-      if (!block_written(data_addr)) continue;
-      const Line ct = in_.image->read_line(data_addr);
-      if (!(in_.cme->data_hmac(ct, data_addr, cb.pad_counter(b)) ==
-            stored_dh(data_addr))) {
-        report.tampered_blocks.push_back(data_addr);
-      }
-    }
-  }
+  const std::vector<Addr> mismatched = verify_data_hmacs();
+  report.tampered_blocks.insert(report.tampered_blocks.end(),
+                                mismatched.begin(), mismatched.end());
   report.attack_detected =
       !report.replayed_nodes.empty() || !report.tampered_blocks.empty();
   report.attack_located = report.attack_detected;
@@ -357,25 +455,14 @@ RecoveryReport RecoveryManager::run_level_persisted(
     if (id.level <= frontier) return stored(id);
     return rebuilt[id.level][id.index];
   };
-  const auto bad = in_.merkle->find_inconsistencies(hybrid, in_.tcb.root_new);
+  const auto bad =
+      in_.merkle->find_inconsistencies(hybrid, in_.tcb.root_new, in_.jobs);
 
   // ---- Data-HMAC scan against the persisted counters (they are current
   // at every crash point — both designs persist the counter line on each
   // write-back), catching spoofed/spliced/replayed data, DH and counter
   // lines exactly as run_strict does.
-  for (std::uint64_t leaf = 0; leaf < layout.num_pages(); ++leaf) {
-    const CounterBlock cb = CounterBlock::unpack(
-        in_.image->read_line(layout.data_capacity() + leaf * kLineSize));
-    for (std::size_t b = 0; b < kBlocksPerPage; ++b) {
-      const Addr data_addr = leaf * kPageSize + b * kLineSize;
-      if (!block_written(data_addr)) continue;
-      const Line ct = in_.image->read_line(data_addr);
-      if (!(in_.cme->data_hmac(ct, data_addr, cb.pad_counter(b)) ==
-            stored_dh(data_addr))) {
-        report.tampered_blocks.push_back(data_addr);
-      }
-    }
-  }
+  report.tampered_blocks = verify_data_hmacs();
 
   if (root_matches && bad.empty() && report.tampered_blocks.empty()) {
     // Persist the rebuilt levels so the NVM image and the reinstalled
@@ -433,10 +520,12 @@ RecoveryReport RecoveryManager::run_cc_nvm() {
     }
     return in_.image->read_line(layout.node_addr(id));
   };
-  const auto bad_new =
-      in_.merkle->find_inconsistencies(nvm_reader, in_.tcb.root_new);
-  const auto bad_old =
-      in_.merkle->find_inconsistencies(nvm_reader, in_.tcb.root_old);
+  // One pass checks the stored tree against both roots.
+  const std::array<Line, 2> roots = {in_.tcb.root_new, in_.tcb.root_old};
+  const auto bad = in_.merkle->find_inconsistencies(nvm_reader, roots,
+                                                    in_.jobs);
+  const std::vector<NodeId>& bad_new = bad[0];
+  const std::vector<NodeId>& bad_old = bad[1];
 
   const bool matches_new = bad_new.empty();
   const bool matches_old = bad_old.empty();

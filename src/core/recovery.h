@@ -34,6 +34,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -112,8 +113,11 @@ struct RecoveryInputs {
   /// MICRO'18 mechanism. Functionally equivalent (the HMAC remains the
   /// authority); changes the cost accounting.
   bool use_ecc_oracle = false;
-  /// Worker count for the step-4 full-tree rebuild (1 = inline, 0 = auto).
-  /// The rebuilt tree is bit-identical for any value.
+  /// Worker count for the hashing of every recovery step — tree checks,
+  /// the counter search, data-HMAC scans, the full-tree rebuild (1 =
+  /// inline, 0 = auto). Image reads and writes stay on the calling thread,
+  /// and the report and the repaired image are bit-identical for any
+  /// value.
   std::size_t jobs = 1;
   /// kTriad: highest tree level persisted per write-back (clamped to the
   /// internal levels; levels above it are rebuilt here).
@@ -127,13 +131,24 @@ class RecoveryManager {
   RecoveryReport run();
 
  private:
+  /// One written data block as the crashed image holds it.
+  struct WrittenBlock {
+    Addr addr = 0;
+    Line ciphertext{};
+    Tag128 stored_dh{};
+    /// Plaintext-ECC side band (read only for the Osiris oracle).
+    bool has_ecc = false;
+    std::array<std::uint8_t, 8> ecc{};
+  };
+
   struct CounterRecovery {
     std::vector<secure::CounterBlock> blocks;  // recovered, by leaf index
     std::uint64_t retries = 0;
     std::uint64_t advanced = 0;
     std::uint64_t overflow_retries = 0;  // retries on the flagged page
     std::vector<Addr> failed_blocks;
-    /// Retries performed per data block (cc-NVM+ step-3 comparison).
+    /// Retries performed per data block (cc-NVM+ step-3 comparison); a
+    /// block absent here matched with zero retries.
     std::unordered_map<Addr, std::uint64_t> per_block_retries;
     std::uint64_t ecc_checks = 0;
   };
@@ -150,10 +165,17 @@ class RecoveryManager {
   /// data HMAC.
   CounterRecovery recover_counters() const;
 
+  /// The step-2 search over one run of pages' written blocks, whose
+  /// persisted counters are already in out.blocks: wave k tries minor+k
+  /// for every block still unmatched, as one data-HMAC batch.
+  void search_counters(std::span<const WrittenBlock> run,
+                       CounterRecovery& out) const;
+
   /// Recovery of a page whose minor-counter overflow re-encryption was
-  /// interrupted by the crash (flagged in the TCB).
+  /// interrupted by the crash (flagged in the TCB). `written` is the
+  /// page's scan; out.blocks[leaf] holds the persisted counters on entry.
   void recover_overflow_page(std::uint64_t leaf,
-                             const secure::CounterBlock& persisted,
+                             std::span<const WrittenBlock> written,
                              CounterRecovery& out) const;
 
   /// Step 4 / Osiris rebuild: recompute the full tree from `blocks`,
@@ -161,11 +183,23 @@ class RecoveryManager {
   Line rebuild_tree(const std::vector<secure::CounterBlock>& blocks,
                     bool persist) const;
 
-  /// True when the stored data-HMAC slot indicates the block was ever
-  /// written (an all-zero tag marks never-written blocks in this model).
-  bool block_written(Addr data_addr) const;
+  /// Appends page `leaf`'s written blocks in block order: those whose
+  /// stored data-HMAC slot is non-zero (an all-zero tag marks
+  /// never-written blocks in this model). Each DH line is read once.
+  void scan_page(std::uint64_t leaf, std::vector<WrittenBlock>& out) const;
 
-  Tag128 stored_dh(Addr data_addr) const;
+  /// Checks every written block's data HMAC against the counter line
+  /// persisted in the image (current at every crash point for the strict
+  /// and level-persisted designs). Returns the mismatching blocks in
+  /// address order.
+  std::vector<Addr> verify_data_hmacs() const;
+
+  /// out[i] = data HMAC of reqs[i], batched through data_hmac_many over
+  /// `jobs` workers.
+  void data_hmacs(std::span<const secure::DataHmacReq> reqs,
+                  std::span<Tag128> out) const;
+
+  secure::CounterBlock persisted_counters(std::uint64_t leaf) const;
 
   RecoveryInputs in_;
 };

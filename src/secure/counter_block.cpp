@@ -5,17 +5,31 @@
 
 namespace ccnvm::secure {
 
+namespace {
+
+// The minors form one little-endian bit stream over bytes [8,64): minor i
+// occupies stream bits [7i, 7i+7). Eight minors fill exactly seven bytes,
+// so the stream splits into eight 56-bit groups handled a word at a time.
+constexpr std::size_t kGroupMinors = 8;
+constexpr std::size_t kGroupBytes = kGroupMinors * CounterBlock::kMinorBits / 8;
+static_assert(kBlocksPerPage % kGroupMinors == 0);
+static_assert(8 + kBlocksPerPage / kGroupMinors * kGroupBytes == kLineSize);
+
+}  // namespace
+
 Line CounterBlock::pack() const {
   Line line{};
   store_le64(line, 0, major);
-  // Bit-pack 64 x 7-bit minors into the remaining 56 bytes.
-  std::size_t bit = 0;
-  for (std::size_t i = 0; i < kBlocksPerPage; ++i) {
-    CCNVM_CHECK_MSG(minors[i] <= kMinorMax, "minor out of range");
-    for (std::uint8_t b = 0; b < kMinorBits; ++b, ++bit) {
-      if ((minors[i] >> b) & 1u) {
-        line[8 + bit / 8] |= static_cast<std::uint8_t>(1u << (bit % 8));
-      }
+  for (std::size_t g = 0; g < kBlocksPerPage / kGroupMinors; ++g) {
+    std::uint64_t word = 0;
+    for (std::size_t m = 0; m < kGroupMinors; ++m) {
+      const std::uint8_t v = minors[g * kGroupMinors + m];
+      CCNVM_CHECK_MSG(v <= kMinorMax, "minor out of range");
+      word |= static_cast<std::uint64_t>(v) << (kMinorBits * m);
+    }
+    for (std::size_t b = 0; b < kGroupBytes; ++b) {
+      line[8 + g * kGroupBytes + b] =
+          static_cast<std::uint8_t>(word >> (8 * b));
     }
   }
   return line;
@@ -24,15 +38,16 @@ Line CounterBlock::pack() const {
 CounterBlock CounterBlock::unpack(const Line& line) {
   CounterBlock cb;
   cb.major = load_le64(line, 0);
-  std::size_t bit = 0;
-  for (std::size_t i = 0; i < kBlocksPerPage; ++i) {
-    std::uint8_t v = 0;
-    for (std::uint8_t b = 0; b < kMinorBits; ++b, ++bit) {
-      if ((line[8 + bit / 8] >> (bit % 8)) & 1u) {
-        v |= static_cast<std::uint8_t>(1u << b);
-      }
+  for (std::size_t g = 0; g < kBlocksPerPage / kGroupMinors; ++g) {
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < kGroupBytes; ++b) {
+      word |= static_cast<std::uint64_t>(line[8 + g * kGroupBytes + b])
+              << (8 * b);
     }
-    cb.minors[i] = v;
+    for (std::size_t m = 0; m < kGroupMinors; ++m) {
+      cb.minors[g * kGroupMinors + m] =
+          static_cast<std::uint8_t>((word >> (kMinorBits * m)) & kMinorMax);
+    }
   }
   return cb;
 }

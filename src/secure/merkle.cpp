@@ -109,33 +109,75 @@ Line MerkleEngine::build_full_tree(const NodeReader& read,
   return prev.front();
 }
 
+void MerkleEngine::node_tags(std::span<const Line> lines, std::span<Tag128> out,
+                             std::size_t jobs) const {
+  CCNVM_CHECK_MSG(lines.size() == out.size(),
+                  "node_tags: lines/out span sizes must match");
+  constexpr std::size_t kChunk = 256;
+  const std::size_t chunks = (lines.size() + kChunk - 1) / kChunk;
+  parallel_for(chunks, jobs, [&](std::size_t c) {
+    const std::size_t begin = c * kChunk;
+    const std::size_t n = std::min(kChunk, lines.size() - begin);
+    std::vector<crypto::LineRef> refs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      refs[i] = {lines[begin + i].data(), kLineSize};
+    }
+    mac_.tag_many(refs, out.subspan(begin, n));
+  });
+}
+
 std::vector<NodeId> MerkleEngine::find_inconsistencies(const NodeReader& read,
-                                                       const Line& root) const {
-  std::vector<NodeId> bad;
-  // For every internal node (and the root), recompute from the stored
-  // children and compare against the stored value. A mismatch at parent P
-  // means some child's stored contents are not what P committed to — we
-  // report the child(ren) whose tag slot disagrees, which is the replayed
-  // or tampered node.
-  for (std::uint32_t level = 1; level <= layout_->root_level(); ++level) {
-    const std::uint64_t count = layout_->nodes_at_level(level);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const NodeId id{level, i};
-      const Line stored =
-          (level == layout_->root_level()) ? root : read(id);
-      for (std::uint64_t slot = 0; slot < NvmLayout::kArity; ++slot) {
-        const NodeId child = layout_->child(id, slot);
-        const Line contents =
-            node_exists(child) ? read(child) : zero_line();
-        const Tag128 expect = node_tag(contents);
-        Tag128 stored_tag;
-        std::memcpy(stored_tag.bytes.data(),
-                    stored.data() + slot * sizeof(Tag128), sizeof(Tag128));
-        if (!(stored_tag == expect) && node_exists(child)) {
-          bad.push_back(child);
+                                                       const Line& root,
+                                                       std::size_t jobs) const {
+  return std::move(
+      find_inconsistencies(read, std::span<const Line>(&root, 1), jobs)
+          .front());
+}
+
+std::vector<std::vector<NodeId>> MerkleEngine::find_inconsistencies(
+    const NodeReader& read, std::span<const Line> roots,
+    std::size_t jobs) const {
+  std::vector<std::vector<NodeId>> bad(roots.size());
+  // Bottom-up: the stored lines of one level are tagged in a batch, and
+  // each tag is compared with the slot the stored parent (or, under the
+  // root, each candidate root) committed to. A disagreeing slot means the
+  // child's stored contents are not what its parent committed to — the
+  // child is the replayed or tampered node. Slots past the last real node
+  // of a level have no stored child to blame and are never checked.
+  const std::uint32_t root_level = layout_->root_level();
+  std::vector<Line> children(layout_->nodes_at_level(0));
+  for (std::uint64_t i = 0; i < children.size(); ++i) {
+    children[i] = read(NodeId{0, i});
+  }
+  std::vector<Line> parents;
+  std::vector<Tag128> tags;
+  for (std::uint32_t level = 1; level <= root_level; ++level) {
+    tags.resize(children.size());
+    node_tags(children, tags, jobs);
+    parents.clear();
+    if (level < root_level) {
+      parents.resize(layout_->nodes_at_level(level));
+      for (std::uint64_t i = 0; i < parents.size(); ++i) {
+        parents[i] = read(NodeId{level, i});
+      }
+    }
+    for (std::uint64_t i = 0; i < children.size(); ++i) {
+      const NodeId child{level - 1, i};
+      const std::size_t off = layout_->slot_in_parent(child) * sizeof(Tag128);
+      const auto committed = [&](const Line& parent) {
+        return std::memcmp(parent.data() + off, tags[i].bytes.data(),
+                           sizeof(Tag128)) == 0;
+      };
+      if (level < root_level) {
+        if (committed(parents[i / NvmLayout::kArity])) continue;
+        for (std::vector<NodeId>& b : bad) b.push_back(child);
+      } else {
+        for (std::size_t r = 0; r < roots.size(); ++r) {
+          if (!committed(roots[r])) bad[r].push_back(child);
         }
       }
     }
+    std::swap(children, parents);
   }
   return bad;
 }

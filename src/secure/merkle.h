@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -71,11 +72,23 @@ class MerkleEngine {
 
   /// Verifies the stored tree (served by `read`, including level 0 leaves
   /// and internal nodes) against `root`. Returns every node id whose
-  /// stored contents disagree with the value recomputed from its children
-  /// — for a replay of node X, this reports X (parent mismatch localizes
-  /// the replayed subtree, recovery step 1 of §4.4).
+  /// stored contents disagree with the slot its parent committed to — for
+  /// a replay of node X, this reports X (parent mismatch localizes the
+  /// replayed subtree, recovery step 1 of §4.4) — ordered by level, then
+  /// index. Every stored node is read once (from the calling thread,
+  /// bottom-up) and tagged once, level by level through tag_many with
+  /// `jobs` workers (1 = inline, 0 = hardware concurrency).
   std::vector<NodeId> find_inconsistencies(const NodeReader& read,
-                                           const Line& root) const;
+                                           const Line& root,
+                                           std::size_t jobs = 1) const;
+
+  /// Multi-root form: out[r] == find_inconsistencies(read, roots[r]), in
+  /// the same single pass — only the comparison against the root is
+  /// repeated per candidate. Recovery checks ROOT_new and ROOT_old this
+  /// way for the price of one.
+  std::vector<std::vector<NodeId>> find_inconsistencies(
+      const NodeReader& read, std::span<const Line> roots,
+      std::size_t jobs = 1) const;
 
   /// Verifies only the path covering `data_addr` (runtime read-side
   /// verification). Returns the first mismatching node bottom-up, or
@@ -89,6 +102,11 @@ class MerkleEngine {
   bool node_exists(const NodeId& id) const {
     return id.index < layout_->nodes_at_level(id.level);
   }
+
+  /// out[i] = node_tag(lines[i]), through tag_many in fixed chunks spread
+  /// over `jobs` workers; bit-identical for any `jobs`.
+  void node_tags(std::span<const Line> lines, std::span<Tag128> out,
+                 std::size_t jobs) const;
 
   // Midstate-cached HMAC context for the counter-HMAC key; computing a
   // node tag costs three SHA-1 compressions instead of five.

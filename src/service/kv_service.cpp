@@ -453,23 +453,27 @@ void KvService::drain_loop(Engine& engine) {
       if (config_.after_barrier_hook) config_.after_barrier_hook();
     }
 
+    // Count the batch before acking it, so a caller that holds its ack
+    // sees the batch (and its barrier) in stats().
+    {
+      MutexLock lock(engine.stats_mu);
+      engine.stats.puts += puts;
+      engine.stats.gets += gets;
+      engine.stats.erases += erases;
+      engine.stats.failed_puts += failed_puts;
+      engine.stats.batches += 1;
+      engine.stats.batched_ops += batch.size();
+      if (batch.size() > engine.stats.max_batch) {
+        engine.stats.max_batch = batch.size();
+      }
+      engine.stats.mutations += mutations;
+      if (mutations > 0) engine.stats.barriers += 1;
+    }
+
     // Acks only after the barrier.
     for (std::size_t i = 0; i < batch.size(); ++i) {
       ack(batch[i], std::move(results[i]));
     }
-
-    MutexLock lock(engine.stats_mu);
-    engine.stats.puts += puts;
-    engine.stats.gets += gets;
-    engine.stats.erases += erases;
-    engine.stats.failed_puts += failed_puts;
-    engine.stats.batches += 1;
-    engine.stats.batched_ops += batch.size();
-    if (batch.size() > engine.stats.max_batch) {
-      engine.stats.max_batch = batch.size();
-    }
-    engine.stats.mutations += mutations;
-    if (mutations > 0) engine.stats.barriers += 1;
   }
 }
 

@@ -24,6 +24,34 @@ TEST(CounterBlockTest, PackUnpackRoundTrip) {
   }
 }
 
+TEST(CounterBlockTest, PackMatchesBitStreamLayout) {
+  // The architectural layout, one bit at a time: little-endian major in
+  // bytes [0,8), then minor i at stream bits [7i, 7i+7) of bytes [8,64),
+  // least significant bit first. Images written under this layout must
+  // keep decoding, so the word-wise codec is held to it bit for bit.
+  Rng rng(2);
+  for (int iter = 0; iter < 100; ++iter) {
+    CounterBlock cb;
+    cb.major = rng.next();
+    for (auto& m : cb.minors) {
+      m = static_cast<std::uint8_t>(rng.below(CounterBlock::kMinorMax + 1));
+    }
+    Line want{};
+    for (std::size_t i = 0; i < 8; ++i) {
+      want[i] = static_cast<std::uint8_t>(cb.major >> (8 * i));
+    }
+    for (std::size_t bit = 0; bit < kBlocksPerPage * CounterBlock::kMinorBits;
+         ++bit) {
+      const std::size_t minor = bit / CounterBlock::kMinorBits;
+      if ((cb.minors[minor] >> (bit % CounterBlock::kMinorBits)) & 1u) {
+        want[8 + bit / 8] |= static_cast<std::uint8_t>(1u << (bit % 8));
+      }
+    }
+    EXPECT_EQ(cb.pack(), want);
+    EXPECT_EQ(CounterBlock::unpack(want), cb);
+  }
+}
+
 TEST(CounterBlockTest, PackIsInjectiveOnNeighbours) {
   CounterBlock a;
   CounterBlock b;

@@ -1,7 +1,9 @@
 // Unit tests for the Bonsai Merkle tree engine and the metadata store.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <vector>
 
 #include "common/rng.h"
 #include "secure/merkle.h"
@@ -135,6 +137,70 @@ INSTANTIATE_TEST_SUITE_P(Capacities, MerklePropertyTest,
                          ::testing::Values(kPageSize, 4 * kPageSize,
                                            16 * kPageSize, 1ull << 20,
                                            4ull << 20));
+
+// find_inconsistencies tags each level in one batch and checks several
+// roots in one pass; it must report exactly what the per-parent walk
+// does — recompute each stored parent's slots from its stored children
+// and blame every real child whose slot disagrees — root by root, in
+// the walk's order, for any worker count.
+std::vector<NodeId> walk_inconsistencies(const NvmLayout& layout,
+                                         const MerkleEngine& engine,
+                                         const MerkleEngine::NodeReader& read,
+                                         const Line& root) {
+  std::vector<NodeId> bad;
+  for (std::uint32_t level = 1; level <= layout.root_level(); ++level) {
+    for (std::uint64_t i = 0; i < layout.nodes_at_level(level); ++i) {
+      const NodeId id{level, i};
+      const Line stored = level == layout.root_level() ? root : read(id);
+      for (std::uint64_t slot = 0; slot < NvmLayout::kArity; ++slot) {
+        const NodeId child = layout.child(id, slot);
+        if (child.index >= layout.nodes_at_level(child.level)) continue;
+        const Tag128 tag = engine.node_tag(read(child));
+        if (std::memcmp(stored.data() + slot * sizeof(Tag128),
+                        tag.bytes.data(), sizeof(Tag128)) != 0) {
+          bad.push_back(child);
+        }
+      }
+    }
+  }
+  return bad;
+}
+
+class MerkleMultiRootTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MerkleMultiRootTest, MatchesPerParentWalkForEveryRoot) {
+  const NvmLayout layout(4ull << 20);  // 1024 pages, root level 5
+  const MerkleEngine engine(crypto::HmacKey::from_seed(3), layout);
+  MetadataStore store(layout, engine);
+  Rng rng(GetParam() + 11);
+  for (int i = 0; i < 40; ++i) {
+    store.counter(rng.below(layout.num_pages())).increment(rng.below(64));
+  }
+  store.format();
+  const Line committed = store.root();
+  // Tamper a counter line and an internal node behind the tree's back;
+  // the second root is a forgery of the committed one.
+  store.counter(17).increment(2);
+  Line node = store.node_line({2, 9});
+  node[33] ^= 0x10;
+  store.set_node({2, 9}, node);
+  const auto reader = [&](const NodeId& id) { return store.node_line(id); };
+  Line other_root = committed;
+  other_root[3] ^= 0x80;
+
+  const std::vector<Line> roots = {committed, other_root, store.root()};
+  const auto got = engine.find_inconsistencies(reader, roots, GetParam());
+  ASSERT_EQ(got.size(), roots.size());
+  for (std::size_t r = 0; r < roots.size(); ++r) {
+    EXPECT_EQ(got[r], walk_inconsistencies(layout, engine, reader, roots[r]))
+        << "root " << r;
+    EXPECT_EQ(engine.find_inconsistencies(reader, roots[r]), got[r]);
+  }
+  EXPECT_FALSE(got[0].empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, MerkleMultiRootTest,
+                         ::testing::Values(1, 3));
 
 // build_full_tree is bit-identical for every worker count: the per-level
 // fan-out only changes which thread computes a node, never its value, and

@@ -156,6 +156,33 @@ TEST(RecoveryTest, OverflowCrashWindowRecovers) {
   EXPECT_FALSE(design.tcb().overflow_pending) << "flag clears with recovery";
 }
 
+TEST(RecoveryTest, RepeatedOverflowsInOneEpochRecover) {
+  // With N above the 7-bit minor range nothing bounds the epoch by the
+  // overflow window, yet the TCB flag names a single page. A second
+  // overflow — on another page or the same one — must therefore commit
+  // the first before it starts, or recovery finds a page two majors (or
+  // one unflagged major) ahead of its counter line and reports a spoof.
+  DesignConfig c = small_config();
+  c.update_limit = 1u << 20;
+  CcNvmDesign design(c, /*deferred_spreading=*/true);
+  const Addr first = 3 * kPageSize;
+  const Addr second = 9 * kPageSize + 5 * kLineSize;
+  for (std::uint64_t i = 0; i < 300; ++i) {  // page 3 overflows twice
+    design.write_back(first, pattern_line(i));
+  }
+  for (std::uint64_t i = 0; i < 130; ++i) {  // then page 9 once
+    design.write_back(second, pattern_line(1000 + i));
+  }
+  EXPECT_GE(design.stats().page_reencryptions, 3u);
+  ASSERT_TRUE(design.tcb().overflow_pending);
+  design.crash_power_loss();
+  const RecoveryReport report = design.recover();
+  ASSERT_TRUE(report.clean) << report.detail;
+  EXPECT_EQ(design.read_block(first).plaintext, pattern_line(299));
+  EXPECT_EQ(design.read_block(second).plaintext, pattern_line(1129));
+  EXPECT_TRUE(design.audit_image().empty());
+}
+
 TEST(RecoveryTest, RecoveredStateIsCommitted) {
   // After recovery the NVM tree must match the (single) TCB root — i.e.
   // recovery ends in a freshly committed epoch.

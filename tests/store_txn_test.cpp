@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -173,7 +174,12 @@ TEST(TxnTest, HomeBucketCollisionsWithinOneTxnGetDistinctSlots) {
 struct CrashAt {
   SecureKvStore::TxnCrashPhase phase;
   bool committed;  // must the txn be visible after reopen?
+  const char* name;
 };
+
+// Without a printer gtest names each case after the raw bytes of CrashAt,
+// padding included, so the case names would change from run to run.
+void PrintTo(const CrashAt& at, std::ostream* os) { *os << at.name; }
 
 class TxnCrashPhaseTest : public ::testing::TestWithParam<CrashAt> {};
 
@@ -222,10 +228,12 @@ TEST_P(TxnCrashPhaseTest, KillYieldsAllOrNothingOnReopen) {
 INSTANTIATE_TEST_SUITE_P(
     AllPhases, TxnCrashPhaseTest,
     ::testing::Values(
-        CrashAt{SecureKvStore::TxnCrashPhase::kAfterStage, false},
-        CrashAt{SecureKvStore::TxnCrashPhase::kAfterStatusFlip, true},
-        CrashAt{SecureKvStore::TxnCrashPhase::kMidRedo, true},
-        CrashAt{SecureKvStore::TxnCrashPhase::kBeforeRelease, true}));
+        CrashAt{SecureKvStore::TxnCrashPhase::kAfterStage, false, "AfterStage"},
+        CrashAt{SecureKvStore::TxnCrashPhase::kAfterStatusFlip, true,
+                "AfterStatusFlip"},
+        CrashAt{SecureKvStore::TxnCrashPhase::kMidRedo, true, "MidRedo"},
+        CrashAt{SecureKvStore::TxnCrashPhase::kBeforeRelease, true,
+                "BeforeRelease"}));
 
 // --- Distributed half (prepare / decide / finalize) ----------------------
 
