@@ -15,9 +15,9 @@
 //
 // --threads=N switches to the concurrent-service scaling mode: N blocking
 // client threads drive a KvService (per-shard MPSC queues, group-commit
-// drains; docs/SERVICE.md) on durable kBarrier media, and the bench
+// barriers; docs/SERVICE.md) on durable kBarrier media, and the bench
 // reports the throughput-vs-threads curve at 1, 2, 4, ... N clients. The
-// scaling comes from barrier amortization — one msync-backed epoch drain
+// scaling comes from barrier amortization — one msync + fsync barrier
 // retires a whole batch — so the ratio column against 1 thread is the
 // group-commit payoff. Each cell takes the best of three repetitions
 // (co-tenant noise on shared machines hits the slow barriers hardest) and

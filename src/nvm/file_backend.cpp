@@ -285,7 +285,8 @@ void FileBackend::store_registers(const std::uint8_t* data, std::size_t len) {
     // than the lines after a barrier. kBarrier deliberately skips this:
     // the registers ride the whole-mapping msync at the next barrier,
     // modeling a controller without battery-backed registers whose
-    // durability point IS the epoch drain.
+    // durability point IS the persist barrier (a group commit or the end
+    // of an epoch drain).
     CCNVM_CHECK(::msync(map_, kHeaderBytes, MS_SYNC) == 0);
   }
 }

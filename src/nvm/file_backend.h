@@ -44,7 +44,7 @@ class FileBackend final : public Backend {
     kSync,     // msync at persist points: survives power loss up to the
                // last ADR barrier
     kBarrier,  // msync only at persist_barrier(): survives power loss up
-               // to the last epoch drain — one flush per group commit
+               // to the last barrier — one flush per group commit
   };
 
   /// Creates (truncating) a file sized for `capacity_bytes` of line

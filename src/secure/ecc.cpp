@@ -25,12 +25,26 @@ constexpr bool parity64(std::uint64_t v) {
   return (__builtin_popcountll(v) & 1) != 0;
 }
 
-std::uint8_t hamming_bits(std::uint64_t word) {
-  std::uint8_t c = 0;
+// kCheckMasks[j] selects the data bits whose position has bit j set:
+// check bit j is the parity of the word under that mask.
+constexpr std::array<std::uint64_t, 7> make_check_masks() {
+  std::array<std::uint64_t, 7> masks{};
   for (int k = 0; k < 64; ++k) {
-    if ((word >> k) & 1) c ^= kPositions[k];
+    for (int j = 0; j < 7; ++j) {
+      if ((kPositions[k] >> j) & 1) masks[j] |= 1ULL << k;
+    }
   }
-  return c;  // 7 bits
+  return masks;
+}
+
+constexpr std::array<std::uint64_t, 7> kCheckMasks = make_check_masks();
+
+std::uint8_t hamming_bits(std::uint64_t word) {
+  unsigned c = 0;
+  for (int j = 0; j < 7; ++j) {
+    c |= static_cast<unsigned>(parity64(word & kCheckMasks[j])) << j;
+  }
+  return static_cast<std::uint8_t>(c);  // 7 bits
 }
 
 }  // namespace

@@ -322,7 +322,7 @@ void KvService::drain_loop(Engine& engine) {
 
   // Fulfilling a promise IS the external acknowledgment: nvlint's N1
   // check holds every persistent write in this function to "barriered
-  // before the ack fires", which the one checkpoint() above the
+  // before the ack fires", which the one persist_barrier() above the
   // completion loop satisfies for the whole batch.
   CCNVM_ACK const auto ack = [](Request& r, Result&& result) {
     r.done.set_value(std::move(result));
@@ -445,11 +445,13 @@ void KvService::drain_loop(Engine& engine) {
       if (config_.after_apply_hook) config_.after_apply_hook();
     }
 
-    // Group commit: ONE epoch drain + persist barrier covers every
-    // mutation in the batch. Read-only batches skip it — nothing new to
+    // Group commit: ONE media persist barrier covers every mutation in
+    // the batch. Epoch drains stay on the design's own triggers — data
+    // and DH lines persist as written, and recovery rolls the undrained
+    // counters forward. Read-only batches skip it — nothing new to
     // persist, so acking immediately is already barrier-clean.
     if (mutations > 0) {
-      engine.store->checkpoint();
+      engine.store->persist_barrier();
       if (config_.after_barrier_hook) config_.after_barrier_hook();
     }
 

@@ -9,9 +9,8 @@
 //
 //   client threads ──push──▶ per-shard MPSC queue ──▶ drain worker
 //                                                       │ apply batch
-//                                                       │ ONE checkpoint()
-//                                                       ▼ (epoch drain +
-//                                                          persist barrier)
+//                                                       │ ONE media
+//                                                       ▼ persist barrier
 //                                                     complete every ack
 //
 // A *service shard* is a complete engine: its own design instance (own
@@ -22,15 +21,18 @@
 //
 // The ack-after-barrier contract (docs/SERVICE.md): a request's promise
 // is fulfilled only after the batch it rode in has been applied AND the
-// shard engine has drained the epoch behind a persist barrier. An
-// acknowledged operation therefore survives a crash; crashd's service
+// shard engine's media has passed a persist barrier. Epoch drains run
+// only on the design's own triggers (DAQ full, dirty eviction, update
+// limit N) and at shutdown: data and DH lines persist as written, and
+// recovery rolls undrained counters forward (§4.3). An acknowledged
+// operation therefore survives a crash; crashd's service
 // scenario family kills the process mid-flight and holds reopened images
 // to exactly that promise. The completion call is CCNVM_ACK-annotated so
 // nvlint's N1 check polices the ordering statically.
 //
 // Group commit is the performance story: the barrier is the expensive
-// event (an epoch drain, plus an msync on FileBackend::SyncMode::kBarrier
-// media), and one barrier retires the whole batch. With B blocking
+// event (an msync + fsync on FileBackend::SyncMode::kBarrier media), and
+// one barrier retires the whole batch. With B blocking
 // clients per shard the steady-state batch size is B — throughput scales
 // with client count until the queue or the apply path saturates, which
 // bench/ycsb --threads=N measures.
@@ -78,7 +80,7 @@ struct ServiceStats {
   std::uint64_t batched_ops = 0;  // requests retired through batches
   std::uint64_t max_batch = 0;    // largest batch ever drained
   std::uint64_t mutations = 0;    // successful puts + erases
-  std::uint64_t barriers = 0;     // checkpoints issued (one per dirty batch)
+  std::uint64_t barriers = 0;     // persist barriers (one per dirty batch)
   std::uint64_t queue_high_water = 0;  // deepest queue ever observed
   std::uint64_t queue_pushed = 0;      // total requests enqueued
   std::uint64_t txns = 0;              // committed transactions

@@ -76,9 +76,10 @@ ServiceBenchResult run_service_ycsb(const ServiceBenchOptions& options) {
   cfg.store = store::StoreConfig::sized_for(total_keys, workload.value_bytes,
                                             /*shards=*/1);
   cfg.design.data_capacity = store::capacity_for(cfg.store);
-  // Group commit wants the batch's ONE explicit drain to be the only
-  // drain: a tight update limit or DAQ would force extra mid-batch drains
-  // (each an msync on durable media) on zipf-hammered keys.
+  // Group commit pays a media barrier per batch and leaves epoch drains
+  // to the design's triggers: a tight update limit or DAQ would force
+  // frequent drains (each an msync on durable media) on zipf-hammered
+  // keys.
   cfg.design.update_limit = 1u << 20;
   cfg.design.daq_entries = 1024;
   cfg.design.wpq_entries = 1024;  // a drain batch must fit in the WPQ

@@ -263,6 +263,14 @@ class SecureKvStore {
   /// metadata) — the application-visible checkpoint.
   void checkpoint() { nvm_->quiesce(); }
 
+  /// Orders every line written so far onto stable media (msync + fsync
+  /// on a durable FileBackend, a no-op on the volatile map) without
+  /// draining the epoch: the service's group-commit point. Data, DH and
+  /// journal lines and the TCB registers are then durable, and recovery
+  /// rolls the undrained counters forward (§4.3), so an acknowledged
+  /// operation survives without a checkpoint.
+  void persist_barrier() { nvm_->image().persist_barrier(); }
+
   /// Enumerates every live entry (shard-major, bucket order).
   void for_each(
       const std::function<void(std::string_view key, std::string_view value)>&

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <future>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -90,6 +91,66 @@ TEST(KvServiceTest, ReadOnlyBatchesSkipTheBarrier) {
   const ServiceStats s = service.stats();
   EXPECT_EQ(s.gets, 8u);
   EXPECT_EQ(s.barriers, 1u);  // only the put's batch paid a barrier
+}
+
+TEST(KvServiceTest, GroupCommitLeavesEpochDrainsToTheDesign) {
+  // A dirty batch pays a media persist barrier, not an epoch drain: the
+  // only explicit drain is shutdown's quiesce. Drains from the design's
+  // own triggers (DAQ full, dirty eviction, update limit) still happen.
+  KvService service(small_config(1));
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(service.put("d" + std::to_string(i % 24), "v").ok);
+  }
+  service.shutdown();
+  EXPECT_EQ(service.stats().barriers, 64u);
+  EXPECT_EQ(service.engine_base(0).stats().drains_by_trigger[3], 1u);
+  EXPECT_TRUE(service.engine_base(0).audit_image().empty());
+}
+
+TEST(KvServiceTest, UndrainedImageAtTheLastBarrierRecoversEveryAck) {
+  // Power-cycle the engine exactly at its last group-commit barrier: the
+  // image is undrained, so recovery must roll counters forward (§4.3),
+  // and every acknowledged put must read back.
+  struct Snapshot {
+    nvm::NvmImage image;
+    core::TcbRegisters tcb;
+  };
+  const ServiceConfig cfg = small_config(1);
+  ServiceConfig hooked = cfg;
+  std::optional<Snapshot> last;
+  KvService* live = nullptr;
+  // Runs on the drain thread, which owns the engine.
+  hooked.after_barrier_hook = [&last, &live] {
+    core::SecureNvmBase& base = live->engine_base(0);
+    last.emplace(Snapshot{base.image().snapshot(), base.tcb()});
+  };
+  KvService service(hooked);
+  live = &service;
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 40; ++i) {
+    const std::string key = "u" + std::to_string(i % 16);
+    const std::string value = "value-" + std::to_string(i);
+    ASSERT_TRUE(service.put(key, value).ok);
+    model[key] = value;
+  }
+  service.shutdown();
+  ASSERT_TRUE(last.has_value());
+
+  std::unique_ptr<core::SecureNvmDesign> design = core::make_design(
+      cfg.kind, KvService::engine_design_config(cfg, 0));
+  auto* base = dynamic_cast<core::SecureNvmBase*>(design.get());
+  ASSERT_NE(base, nullptr);
+  base->restore_from_power_down(std::move(last->image), last->tcb);
+  const core::RecoveryReport report = base->recover();
+  EXPECT_TRUE(report.clean) << report.detail;
+  EXPECT_TRUE(report.metadata_recovered);
+  EXPECT_GT(report.counters_recovered, 0u) << "the image was drained";
+
+  store::SecureKvStore kv = store::SecureKvStore::open(*base, cfg.store);
+  EXPECT_EQ(kv.size(), model.size());
+  for (const auto& [key, value] : model) {
+    EXPECT_EQ(kv.get(key), std::optional<std::string>(value)) << key;
+  }
 }
 
 TEST(KvServiceTest, ShardOfIsStableAndCoversAllShards) {

@@ -28,11 +28,18 @@
 //     single metric cratering 2x cannot hide behind an unrelated speedup
 //     elsewhere in the geomean.
 //
+// Crypto tiers: each file records the dispatch tiers it ran under (its
+// `crypto` object). A ratio across tiers measures the dispatch cap, not
+// the code — a table-tier candidate against an avx2-tier baseline scores
+// the batch kernel at ~0.2x — so the gate refuses (exit 2) when the two
+// objects differ. Run the candidate under the baseline's CCNVM_CRYPTO cap.
+//
 // --self-test proves the gate can actually trip: the baseline replayed
 // against itself must pass, a synthetic candidate with all gated values
-// regressed 2x must fail on the geomean, and a candidate with one metric
+// regressed 2x must fail on the geomean, a candidate with one metric
 // regressed 4x masked by an equal speedup elsewhere — geomean-neutral —
-// must still fail on the per-metric floor.
+// must still fail on the per-metric floor, and a candidate from another
+// crypto tier must be refused.
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -51,12 +58,33 @@ constexpr char kSpinMetric[] = "calibration/spin";
 constexpr char kThroughputPrefix[] = "throughput/";
 constexpr char kRecoveryPrefix[] = "recovery/";
 
+struct BenchFile {
+  std::map<std::string, double> metrics;
+  /// The `crypto` tier object with whitespace removed; empty when absent.
+  std::string crypto;
+};
+
+std::string crypto_tiers(const std::string& text) {
+  const std::string key = "\"crypto\":";
+  const std::size_t at = text.find(key);
+  if (at == std::string::npos) return "";
+  const std::size_t open = text.find('{', at + key.size());
+  const std::size_t close = text.find('}', open);  // npos if no '{'
+  if (close == std::string::npos) return "";
+  std::string tiers;
+  for (std::size_t i = open; i <= close; ++i) {
+    if (std::isspace(static_cast<unsigned char>(text[i])) == 0) {
+      tiers += text[i];
+    }
+  }
+  return tiers;
+}
+
 /// Scanning parser for the fixed write_bench_json schema: every metric is
 /// a `{"name": "...", "value": N, ...}` object with `name` preceding
 /// `value`. Not a general JSON parser — it doesn't need to be, both
 /// inputs are produced by this repo's own bench binaries.
-std::optional<std::map<std::string, double>> parse_metrics(
-    const std::string& path) {
+std::optional<BenchFile> parse_bench(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_gate: cannot open %s\n", path.c_str());
@@ -68,7 +96,9 @@ std::optional<std::map<std::string, double>> parse_metrics(
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
   std::fclose(f);
 
-  std::map<std::string, double> metrics;
+  BenchFile file;
+  file.crypto = crypto_tiers(text);
+  std::map<std::string, double>& metrics = file.metrics;
   const std::string name_key = "\"name\":";
   const std::string value_key = "\"value\":";
   std::size_t pos = 0;
@@ -96,7 +126,19 @@ std::optional<std::map<std::string, double>> parse_metrics(
     std::fprintf(stderr, "bench_gate: no metrics found in %s\n", path.c_str());
     return std::nullopt;
   }
-  return metrics;
+  return file;
+}
+
+/// False (with a message) when the two files ran under different crypto
+/// tiers, which makes every throughput ratio meaningless.
+bool same_tiers(const BenchFile& baseline, const BenchFile& candidate) {
+  if (baseline.crypto == candidate.crypto) return true;
+  std::fprintf(stderr,
+               "bench_gate: crypto tiers differ: baseline %s, candidate %s; "
+               "rerun the candidate under the baseline's CCNVM_CRYPTO cap\n",
+               baseline.crypto.empty() ? "(none)" : baseline.crypto.c_str(),
+               candidate.crypto.empty() ? "(none)" : candidate.crypto.c_str());
+  return false;
 }
 
 struct GateResult {
@@ -178,19 +220,20 @@ GateResult run_gate(const std::map<std::string, double>& baseline,
 }
 
 int self_test(const std::string& baseline_path) {
-  const auto baseline = parse_metrics(baseline_path);
-  if (!baseline) return 2;
+  const auto baseline_file = parse_bench(baseline_path);
+  if (!baseline_file) return 2;
+  const std::map<std::string, double>& baseline = baseline_file->metrics;
 
-  std::printf("--- self-test 1/3: baseline vs itself must pass ---\n");
+  std::printf("--- self-test 1/4: baseline vs itself must pass ---\n");
   const GateResult same =
-      run_gate(*baseline, *baseline, kDefaultThreshold, kDefaultFloor);
+      run_gate(baseline, baseline, kDefaultThreshold, kDefaultFloor);
   if (!same.pass || same.compared == 0) {
     std::fprintf(stderr, "bench_gate self-test: identity comparison FAILED\n");
     return 1;
   }
 
-  std::printf("--- self-test 2/3: planted 2x slowdown must fail ---\n");
-  std::map<std::string, double> slowed = *baseline;
+  std::printf("--- self-test 2/4: planted 2x slowdown must fail ---\n");
+  std::map<std::string, double> slowed = baseline;
   for (auto& [name, value] : slowed) {
     bool lower_is_better = false;
     if (!is_gated(name, lower_is_better)) continue;
@@ -198,7 +241,7 @@ int self_test(const std::string& baseline_path) {
     value = lower_is_better ? value * 2.0 : value / 2.0;
   }
   const GateResult slow =
-      run_gate(*baseline, slowed, kDefaultThreshold, kDefaultFloor);
+      run_gate(baseline, slowed, kDefaultThreshold, kDefaultFloor);
   if (slow.pass) {
     std::fprintf(stderr,
                  "bench_gate self-test: gate did NOT trip on a 2x slowdown\n");
@@ -206,12 +249,12 @@ int self_test(const std::string& baseline_path) {
   }
 
   std::printf(
-      "--- self-test 3/3: masked 4x regression must fail on the floor ---\n");
+      "--- self-test 3/4: masked 4x regression must fail on the floor ---\n");
   // One gated metric craters 4x while another speeds up 4x: the geomean
   // is unchanged, so only the per-metric floor can catch it. This is the
   // exact blind spot the floor exists for.
   std::vector<std::string> gated;
-  for (const auto& [name, value] : *baseline) {
+  for (const auto& [name, value] : baseline) {
     bool lower_is_better = false;
     if (is_gated(name, lower_is_better) && !lower_is_better && value > 0) {
       gated.push_back(name);
@@ -223,11 +266,11 @@ int self_test(const std::string& baseline_path) {
                  "the masking case\n");
     return 1;
   }
-  std::map<std::string, double> masked = *baseline;
+  std::map<std::string, double> masked = baseline;
   masked[gated[0]] /= 4.0;
   masked[gated[1]] *= 4.0;
   const GateResult mask =
-      run_gate(*baseline, masked, kDefaultThreshold, kDefaultFloor);
+      run_gate(baseline, masked, kDefaultThreshold, kDefaultFloor);
   if (mask.pass) {
     std::fprintf(stderr,
                  "bench_gate self-test: floor did NOT trip on a masked 4x "
@@ -240,9 +283,20 @@ int self_test(const std::string& baseline_path) {
                  "not the floor — case is miscalibrated\n");
     return 1;
   }
+
+  std::printf("--- self-test 4/4: a candidate from another crypto tier must "
+              "be refused ---\n");
+  BenchFile other_tier = *baseline_file;
+  other_tier.crypto = "{\"aes\":\"another-tier\"}";
+  if (same_tiers(*baseline_file, other_tier)) {
+    std::fprintf(stderr,
+                 "bench_gate self-test: a cross-tier comparison was NOT "
+                 "refused\n");
+    return 1;
+  }
   std::printf(
       "self-test ok: identity passes, 2x trips geomean, masked 4x trips "
-      "floor\n");
+      "floor, cross-tier refused\n");
   return 0;
 }
 
@@ -285,10 +339,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto baseline = parse_metrics(argv[1]);
-  const auto candidate = parse_metrics(argv[2]);
+  const auto baseline = parse_bench(argv[1]);
+  const auto candidate = parse_bench(argv[2]);
   if (!baseline || !candidate) return 2;
-  const GateResult r = run_gate(*baseline, *candidate, threshold, floor);
+  if (!same_tiers(*baseline, *candidate)) return 2;
+  const GateResult r =
+      run_gate(baseline->metrics, candidate->metrics, threshold, floor);
   if (r.compared == 0) return 2;
   return r.pass ? 0 : 1;
 }
