@@ -7,16 +7,32 @@
 // injected after a crash; per design, how many are detected, and how many
 // are *located* (the paper's differentiator: cc-NVM locates, Osiris Plus
 // must drop everything).
+//
+// --reopen-curve[=MAX_KEYS] prints only the reopen curve instead: a
+// crashed file-backed cc-NVM store of 1 K, 4 K, 16 K and 64 K keys (up to
+// MAX_KEYS) is reopened — restore, recover(), SecureKvStore::open — at one
+// worker and at the default worker count, best of 3 per phase. It shows
+// how each phase grows with the key count and what the worker pool buys.
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <string>
 
 #include "attacks/injector.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/cc_nvm.h"
 #include "core/cc_nvm_plus.h"
 #include "core/design.h"
+#include "core/tcb.h"
+#include "nvm/file_backend.h"
+#include "store/kv_store.h"
+#include "store/ycsb_runner.h"
 
 using namespace ccnvm;
 using namespace ccnvm::core;
@@ -215,12 +231,151 @@ void replay_window_table() {
   std::printf("(expected: base designs 100/0/0; cc-NVM+ 100/100/100)\n\n");
 }
 
+// --- Reopen curve ---------------------------------------------------------
+
+struct ReopenTimes {
+  double restore_ms = 0.0, recover_ms = 0.0, open_ms = 0.0;
+};
+
+double ms_between(std::chrono::steady_clock::time_point a,
+                  std::chrono::steady_clock::time_point b) {
+  return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
+/// A crashed image at `path`: `keys` puts, an explicit drain, then
+/// keys/16 unquiesced overwrites (so recovery has counters to search
+/// forward), then power loss.
+bool build_crashed_store(const std::string& path, std::uint64_t keys,
+                         const DesignConfig& dc,
+                         const store::StoreConfig& sc) {
+  DesignConfig build = dc;
+  build.backend_factory = [&path](std::uint64_t bytes) {
+    return nvm::FileBackend::create(path, bytes);
+  };
+  auto design = make_design(DesignKind::kCcNvm, build);
+  auto* base = dynamic_cast<SecureNvmBase*>(design.get());
+  store::SecureKvStore kv(*base, sc);
+  std::string value(100, 'v');
+  for (std::uint64_t k = 0; k < keys; ++k) {
+    value[0] = static_cast<char>('a' + k % 26);
+    if (!kv.put("key-" + std::to_string(k), value)) return false;
+  }
+  base->quiesce();
+  Rng rng(keys);
+  for (std::uint64_t u = 0; u < keys / 16; ++u) {
+    value[1] = static_cast<char>('a' + u % 26);
+    if (!kv.put("key-" + std::to_string(rng.below(keys)), value)) return false;
+  }
+  design->crash_power_loss();
+  return true;
+}
+
+/// One reopen of a fresh copy of the crashed image; false unless the
+/// recovery is clean and every key comes back.
+bool reopen_once(const std::string& golden, const std::string& copy,
+                 std::uint64_t keys, const DesignConfig& dc,
+                 const store::StoreConfig& sc, ReopenTimes& t) {
+  std::filesystem::copy_file(golden, copy,
+                             std::filesystem::copy_options::overwrite_existing);
+  const auto t0 = std::chrono::steady_clock::now();
+  auto file = nvm::FileBackend::open(copy);
+  if (file == nullptr) return false;
+  std::uint8_t regs[nvm::Backend::kRegisterCapacity];
+  const std::size_t reg_len = file->load_registers(regs, sizeof(regs));
+  TcbRegisters tcb;
+  if (!decode_tcb(regs, reg_len, tcb)) return false;
+  auto design = make_design(DesignKind::kCcNvm, dc);
+  auto* base = dynamic_cast<SecureNvmBase*>(design.get());
+  base->restore_from_power_down(nvm::NvmImage(std::move(file)), tcb);
+  const auto t1 = std::chrono::steady_clock::now();
+  const RecoveryReport report = design->recover();
+  const auto t2 = std::chrono::steady_clock::now();
+  if (!report.clean || !report.metadata_recovered) return false;
+  const store::SecureKvStore kv = store::SecureKvStore::open(*base, sc);
+  const auto t3 = std::chrono::steady_clock::now();
+  t.restore_ms = ms_between(t0, t1);
+  t.recover_ms = ms_between(t1, t2);
+  t.open_ms = ms_between(t2, t3);
+  return kv.size() == keys;
+}
+
+int reopen_curve(std::uint64_t max_keys) {
+  const std::string stem =
+      (std::filesystem::temp_directory_path() /
+       ("ccnvm-reopen-curve-" + std::to_string(::getpid())))
+          .string();
+  const std::string golden = stem + ".img";
+  const std::string copy = stem + ".rep.img";
+  const std::size_t auto_jobs = DesignConfig{}.recovery_jobs;
+  std::printf("=== Reopen curve: crashed cc-NVM store (best of 3 per phase) "
+              "===\n");
+  std::printf("(restore = file open + TCB decode + restore_from_power_down;"
+              " open = SecureKvStore::open;\n default jobs = %zu, %zu "
+              "core(s))\n",
+              auto_jobs, default_parallelism());
+  std::printf("%8s %6s %11s %11s %9s %10s %11s\n", "keys", "jobs",
+              "restore_ms", "recover_ms", "open_ms", "total_ms",
+              "open_ns/key");
+  int status = 0;
+  for (const std::uint64_t keys : {1024u, 4096u, 16384u, 65536u}) {
+    if (keys > max_keys) break;
+    const store::StoreConfig sc =
+        store::StoreConfig::sized_for(keys, 100, /*shards=*/1);
+    DesignConfig dc;
+    dc.data_capacity = store::capacity_for(sc);
+    dc.update_limit = 1u << 20;
+    dc.daq_entries = 1024;
+    dc.wpq_entries = 1024;
+    if (!build_crashed_store(golden, keys, dc, sc)) {
+      std::fprintf(stderr, "reopen curve: populating %llu keys failed\n",
+                   static_cast<unsigned long long>(keys));
+      status = 1;
+      break;
+    }
+    for (const std::size_t jobs : {std::size_t{1}, auto_jobs}) {
+      dc.recovery_jobs = jobs;
+      ReopenTimes best;
+      for (int rep = 0; rep < 3; ++rep) {
+        ReopenTimes t;
+        if (!reopen_once(golden, copy, keys, dc, sc, t)) {
+          std::fprintf(stderr, "reopen curve: %llu keys, jobs %zu: reopen "
+                       "not clean\n",
+                       static_cast<unsigned long long>(keys), jobs);
+          status = 1;
+          break;
+        }
+        if (rep == 0 || t.restore_ms < best.restore_ms) {
+          best.restore_ms = t.restore_ms;
+        }
+        if (rep == 0 || t.recover_ms < best.recover_ms) {
+          best.recover_ms = t.recover_ms;
+        }
+        if (rep == 0 || t.open_ms < best.open_ms) best.open_ms = t.open_ms;
+      }
+      const std::string label = jobs == 0 ? "auto" : std::to_string(jobs);
+      std::printf("%8llu %6s %11.2f %11.2f %9.2f %10.2f %11.0f\n",
+                  static_cast<unsigned long long>(keys), label.c_str(),
+                  best.restore_ms, best.recover_ms, best.open_ms,
+                  best.restore_ms + best.recover_ms + best.open_ms,
+                  best.open_ms * 1e6 / static_cast<double>(keys));
+    }
+    if (status != 0) break;
+  }
+  std::filesystem::remove(golden);
+  std::filesystem::remove(copy);
+  return status;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
       g_jobs = static_cast<std::size_t>(std::strtoull(argv[i] + 7, nullptr, 10));
+    } else if (std::strcmp(argv[i], "--reopen-curve") == 0) {
+      return reopen_curve(65536);
+    } else if (std::strncmp(argv[i], "--reopen-curve=", 15) == 0) {
+      return reopen_curve(std::strtoull(argv[i] + 15, nullptr, 10));
     }
   }
   std::printf("=== Recovery & attack-locating evaluation (§4.4) ===\n");

@@ -1,7 +1,10 @@
 #include "core/design.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+
+#include "common/thread_pool.h"
 
 namespace ccnvm::core {
 
@@ -56,7 +59,8 @@ SecureNvmBase::SecureNvmBase(const DesignConfig& config)
                                            0x7bee5f00dULL)),
       merkle_(tree_key_, layout_),
       meta_(config.functional
-                ? std::make_unique<secure::MetadataStore>(layout_, merkle_)
+                ? std::make_unique<secure::MetadataStore>(
+                      layout_, merkle_, config.recovery_jobs)
                 : nullptr),
       meta_cache_(layout_, config.meta_cache_bytes, config.meta_cache_ways,
                   config.split_meta_cache),
@@ -448,17 +452,28 @@ std::vector<ReadResult> SecureNvmBase::read_blocks(
   for (std::size_t i = 0; i < addrs.size(); ++i) {
     results[i] = read_block_at(addrs[i], &checks[i]);
   }
-  // Batch the deferred data-HMAC verifications through tag_many.
-  std::vector<secure::DataHmacReq> reqs;
   std::vector<std::size_t> which;
   for (std::size_t i = 0; i < checks.size(); ++i) {
-    if (!checks[i].needed) continue;
-    reqs.push_back({&checks[i].ct, checks[i].addr, checks[i].pc});
-    which.push_back(i);
+    if (checks[i].needed) which.push_back(i);
   }
-  if (reqs.empty()) return results;
-  std::vector<Tag128> tags(reqs.size());
-  cme_.data_hmac_many(reqs, tags);
+  if (which.empty()) return results;
+  // Decrypt and verify the deferred blocks off the image: each is a pure
+  // function of the (ciphertext, address, counter) recorded above, so the
+  // chunks can run on any worker and land by index.
+  constexpr std::size_t kChunk = 32;
+  std::vector<Tag128> tags(which.size());
+  const std::size_t chunks = (which.size() + kChunk - 1) / kChunk;
+  parallel_for(chunks, config_.recovery_jobs, [&](std::size_t c) {
+    const std::size_t begin = c * kChunk;
+    const std::size_t n = std::min(kChunk, which.size() - begin);
+    std::array<secure::DataHmacReq, kChunk> reqs;
+    for (std::size_t k = 0; k < n; ++k) {
+      const DeferredCheck& d = checks[which[begin + k]];
+      reqs[k] = {&d.ct, d.addr, d.pc};
+      results[which[begin + k]].plaintext = cme_.crypt(d.ct, d.addr, d.pc);
+    }
+    cme_.data_hmac_many({reqs.data(), n}, {tags.data() + begin, n});
+  });
   // Failures surface exactly where the serial loop would have put them:
   // at the alerts_ position recorded when the check was deferred, shifted
   // by this batch's own earlier insertions (which is precisely what the
@@ -527,11 +542,13 @@ ReadResult SecureNvmBase::read_block_at(Addr addr, DeferredCheck* defer) {
         defer->pc = pc;
         defer->stored = stored;
         defer->alert_pos = alerts_.size();
-      } else if (!(cme_.data_hmac(ct, addr, pc) == stored)) {
-        result.integrity_ok = false;
-        note_alert(addr);
+      } else {
+        if (!(cme_.data_hmac(ct, addr, pc) == stored)) {
+          result.integrity_ok = false;
+          note_alert(addr);
+        }
+        result.plaintext = cme_.crypt(ct, addr, pc);
       }
-      result.plaintext = cme_.crypt(ct, addr, pc);
     }
   }
   result.latency = latency;

@@ -91,11 +91,14 @@ struct DesignConfig {
   /// them. Values >= the tree height degenerate to the strict variant
   /// (every internal level persisted). Ignored by the other designs.
   std::uint32_t persist_level = 1;
-  /// Workers for recovery's hashing — tree checks, counter search,
-  /// data-HMAC scans, full-tree rebuild (1 = inline, 0 = hardware
-  /// concurrency). Image accesses stay on the calling thread; the report
-  /// and the image are bit-identical for any value.
-  std::size_t recovery_jobs = 1;
+  /// Workers for the reopen path's hashing and decryption: the all-zero
+  /// tree built at construction, recovery's tree checks, counter search,
+  /// data-HMAC scans and full-tree rebuild, and read_blocks' batched
+  /// decrypt + data-HMAC check (the store-open scan). 0 = auto (every
+  /// core, through the process-wide pool in common/thread_pool.h),
+  /// 1 = inline. Image accesses stay on the calling thread; results,
+  /// reports, alerts, stats and the image are bit-identical for any value.
+  std::size_t recovery_jobs = 0;
   /// Optional NVM media backend factory (nvm/backend.h), called once at
   /// construction with the layout's total footprint in bytes. Null keeps
   /// the default volatile in-memory map. A file-backed factory should
@@ -147,10 +150,11 @@ class SecureNvmDesign {
 
   /// Batch read: equivalent to calling read_block on each address in
   /// order — same results, same stats, same alert order. The base class
-  /// overrides this to defer the per-block data-HMAC verifications and
-  /// push them through the multi-lane tagging path in one burst, which
-  /// is what makes scan-shaped consumers (store open, recovery sweeps)
-  /// fill SIMD lanes instead of issuing one HMAC at a time.
+  /// overrides this to defer the per-block decrypts and data-HMAC
+  /// verifications and run them as one burst through the multi-lane
+  /// tagging path, spread over `DesignConfig::recovery_jobs` workers,
+  /// which is what makes scan-shaped consumers (store open) fill SIMD
+  /// lanes and cores instead of issuing one block at a time.
   virtual std::vector<ReadResult> read_blocks(std::span<const Addr> addrs);
 
   /// Cycles of *synchronous* stall accumulated since the last call —
@@ -378,10 +382,11 @@ class SecureNvmBase : public SecureNvmDesign {
   std::uint64_t commit_epoch_ = 0;
 
  private:
-  /// One block's data-HMAC verification postponed by read_blocks so the
-  /// whole batch can share one tag_many burst. `alert_pos` records where
-  /// alerts_ stood when the serial loop would have run this check, so a
-  /// late failure is spliced in at exactly the serial position.
+  /// One block's decrypt and data-HMAC verification postponed by
+  /// read_blocks so the whole batch can share tag_many bursts across the
+  /// workers. `alert_pos` records where alerts_ stood when the serial
+  /// loop would have run this check, so a late failure is spliced in at
+  /// exactly the serial position.
   struct DeferredCheck {
     bool needed = false;
     Line ct{};
@@ -391,9 +396,9 @@ class SecureNvmBase : public SecureNvmDesign {
     std::size_t alert_pos = 0;
   };
 
-  /// read_block's body. With `defer == nullptr` the data-HMAC check runs
-  /// inline (the public read_block); otherwise it is recorded in *defer
-  /// for the caller to verify in batch.
+  /// read_block's body. With `defer == nullptr` the decrypt and the
+  /// data-HMAC check run inline (the public read_block); otherwise both
+  /// are recorded in *defer for the caller to run in batch.
   ReadResult read_block_at(Addr addr, DeferredCheck* defer);
 };
 

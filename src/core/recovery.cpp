@@ -41,9 +41,11 @@ std::uint64_t tree_nodes_above(const nvm::NvmLayout& layout,
   return nodes;
 }
 
-// Pages per scan run: the run's written blocks (at most 4096 lines, 256 KiB
-// of ciphertext) are read once and then hashed as batches.
-constexpr std::uint64_t kRunPages = 64;
+// Pages per scan run: the run's written blocks are read once and then
+// hashed as batches. 256 pages make a crash image's typical wave several
+// data_hmacs chunks wide — one per pool worker — while the worst-case run
+// buffer (16384 written blocks, ~1.6 MiB) stays small.
+constexpr std::uint64_t kRunPages = 256;
 
 }  // namespace
 
@@ -79,7 +81,8 @@ void RecoveryManager::scan_page(std::uint64_t leaf,
 
 void RecoveryManager::data_hmacs(std::span<const secure::DataHmacReq> reqs,
                                  std::span<Tag128> out) const {
-  constexpr std::size_t kChunk = 512;
+  // Small enough that a page run's wave splits evenly over the pool.
+  constexpr std::size_t kChunk = 128;
   const std::size_t chunks = (reqs.size() + kChunk - 1) / kChunk;
   parallel_for(chunks, in_.jobs, [&](std::size_t c) {
     const std::size_t begin = c * kChunk;

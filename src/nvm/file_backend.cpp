@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstring>
 
 // nvlint-byte-writer(put_u64)  — put_u64 into map_ is raw header traffic
@@ -47,15 +48,19 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 
 /// Population count of the first `slots` bits of the bitmap at `bm`.
 /// set_bit never touches bits past the capacity, so whole-byte popcounts
-/// over the trailing partial byte are safe.
+/// over the trailing partial byte are safe. Whole 64-bit words go through
+/// std::popcount; the bytes past the last whole word one at a time.
 std::size_t count_bits(const std::uint8_t* bm, std::uint64_t slots) {
+  const std::uint64_t bytes = (slots + 7) / 8;
   std::size_t count = 0;
-  for (std::uint64_t byte = 0; byte < (slots + 7) / 8; ++byte) {
-    std::uint8_t v = bm[byte];
-    while (v != 0) {
-      count += v & 1;
-      v = static_cast<std::uint8_t>(v >> 1);
-    }
+  std::uint64_t byte = 0;
+  for (; byte + 8 <= bytes; byte += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, bm + byte, sizeof(word));
+    count += static_cast<std::size_t>(std::popcount(word));
+  }
+  for (; byte < bytes; ++byte) {
+    count += static_cast<std::size_t>(std::popcount(bm[byte]));
   }
   return count;
 }
@@ -157,12 +162,10 @@ std::unique_ptr<FileBackend> FileBackend::open(const std::string& path,
                      MAP_SHARED, backend->fd_, 0);
   if (map == MAP_FAILED) return nullptr;
   backend->map_ = static_cast<std::uint8_t*>(map);
-  // The populated counts are derived, never trusted from the header:
-  // the bitmaps are the single durable source of truth.
+  // The populated count is derived, never trusted from the header: the
+  // bitmap is the single durable source of truth.
   backend->line_count_ = count_bits(backend->map_ + backend->line_bitmap_off_,
                                     backend->capacity_lines_);
-  backend->ecc_count_ = count_bits(backend->map_ + backend->ecc_bitmap_off_,
-                                   backend->capacity_lines_);
   return backend;
 }
 
@@ -239,10 +242,7 @@ void FileBackend::write_ecc(Addr addr, const EccBytes& value) {
   const std::size_t slot = slot_of(addr);
   // nvlint-waive-next(N3): the ECC-sideband write primitive itself
   std::memcpy(map_ + ecc_off_ + slot * 8, value.data(), 8);
-  if (!bit(ecc_bitmap_off_, slot)) {
-    set_bit(ecc_bitmap_off_, slot);
-    ++ecc_count_;  // DRAM-derived; rebuilt from the bitmap at open()
-  }
+  if (!bit(ecc_bitmap_off_, slot)) set_bit(ecc_bitmap_off_, slot);
 }
 
 bool FileBackend::has_ecc(Addr addr) const {

@@ -109,13 +109,12 @@ class FileBackend final : public Backend {
   CCNVM_PERSISTENT std::uint8_t* map_ = nullptr;
   std::uint64_t map_bytes_ = 0;
   std::uint64_t capacity_lines_ = 0;
-  // Populated-slot counts are DRAM-derived state, recomputed from the
-  // presence bitmaps at open(). They used to live in the header and be
+  // The populated-line count is DRAM-derived state, recomputed from the
+  // presence bitmap at open(). It used to live in the header and be
   // updated with a second store after each presence-bit flip — a kill
-  // between the two stores desynchronized them from the bitmap forever
+  // between the two stores desynchronized it from the bitmap forever
   // (found by nvlint N3: raw header writes on the line-write path).
   std::size_t line_count_ = 0;
-  std::size_t ecc_count_ = 0;
   std::uint64_t line_bitmap_off_ = 0;
   std::uint64_t ecc_bitmap_off_ = 0;
   std::uint64_t lines_off_ = 0;

@@ -21,23 +21,26 @@ namespace ccnvm::secure {
 
 class MetadataStore {
  public:
-  MetadataStore(const NvmLayout& layout, const MerkleEngine& engine)
+  /// `jobs` spreads the construction-time format() (see build_full_tree).
+  MetadataStore(const NvmLayout& layout, const MerkleEngine& engine,
+                std::size_t jobs = 1)
       : layout_(&layout), engine_(&engine) {
     counters_.resize(layout.num_pages());
     levels_.resize(layout.root_level());  // levels 1..root-1 stored; [0] unused
     for (std::uint32_t level = 1; level < layout.root_level(); ++level) {
       levels_[level].resize(layout.nodes_at_level(level));
     }
-    format();
+    format(jobs);
   }
 
   /// (Re)computes every tree node from the current counters — used at
   /// construction ("formatting" the secure DIMM with an all-zero
   /// consistent tree) and by tests.
-  void format() {
+  void format(std::size_t jobs = 1) {
     root_ = engine_->build_full_tree(
         [this](const NodeId& id) { return node_line(id); },
-        [this](const NodeId& id, const Line& value) { set_node(id, value); });
+        [this](const NodeId& id, const Line& value) { set_node(id, value); },
+        jobs);
   }
 
   CounterBlock& counter(std::uint64_t leaf_index) {

@@ -2,8 +2,10 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <map>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -47,6 +49,26 @@ std::string temp_dir(const std::string& requested) {
 }
 
 }  // namespace
+
+void run_clients(std::size_t count,
+                 const std::function<void(std::size_t)>& client) {
+  std::vector<std::exception_ptr> errors(count);
+  std::vector<std::thread> threads;
+  threads.reserve(count);
+  for (std::size_t t = 0; t < count; ++t) {
+    threads.emplace_back([&, t] {
+      try {
+        client(t);
+      } catch (...) {
+        errors[t] = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+}
 
 ServiceBenchResult run_service_ycsb(const ServiceBenchOptions& options) {
   CCNVM_CHECK_MSG(options.threads >= 1, "service bench: need >= 1 thread");
@@ -107,7 +129,7 @@ ServiceBenchResult run_service_ycsb(const ServiceBenchOptions& options) {
   std::vector<Client> clients(options.threads);
 
   // --- Load phase (untimed): every thread populates its own records. ---
-  parallel_for(options.threads, options.threads, [&](std::size_t t) {
+  run_clients(options.threads, [&](std::size_t t) {
     Client& c = clients[t];
     const std::uint64_t base = t * key_span;
     for (std::uint64_t id = 0; id < options.records_per_thread; ++id) {
@@ -123,7 +145,7 @@ ServiceBenchResult run_service_ycsb(const ServiceBenchOptions& options) {
 
   // --- Timed phase: the YCSB op mix, one blocking client per thread. ---
   const auto t0 = std::chrono::steady_clock::now();
-  parallel_for(options.threads, options.threads, [&](std::size_t t) {
+  run_clients(options.threads, [&](std::size_t t) {
     Client& c = clients[t];
     if (!c.failure.empty()) return;
     const std::uint64_t base = t * key_span;
@@ -246,7 +268,7 @@ ServiceBenchResult run_service_txn_mix(const TxnMixOptions& options) {
   std::vector<Client> clients(options.threads);
 
   // --- Load phase (untimed): every thread populates its own records. ---
-  parallel_for(options.threads, options.threads, [&](std::size_t t) {
+  run_clients(options.threads, [&](std::size_t t) {
     Client& c = clients[t];
     const std::uint64_t base = t * options.records_per_thread;
     for (std::uint64_t id = 0; id < options.records_per_thread; ++id) {
@@ -262,7 +284,7 @@ ServiceBenchResult run_service_txn_mix(const TxnMixOptions& options) {
 
   // --- Timed phase: multi-key transactions, one blocking client each. ---
   const auto t0 = std::chrono::steady_clock::now();
-  parallel_for(options.threads, options.threads, [&](std::size_t t) {
+  run_clients(options.threads, [&](std::size_t t) {
     Client& c = clients[t];
     if (!c.failure.empty()) return;
     const std::uint64_t base = t * options.records_per_thread;

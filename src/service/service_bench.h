@@ -16,12 +16,20 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "core/design.h"
 #include "service/kv_service.h"
 
 namespace ccnvm::service {
+
+/// Runs client(t) for t in [0, count), each on its own std::thread, and
+/// joins them all; the lowest-index exception is rethrown. Clients block
+/// on the service (and on each other through it), so every one must be
+/// live at once — a core-capped compute pool would serialize them.
+void run_clients(std::size_t count,
+                 const std::function<void(std::size_t)>& client);
 
 struct ServiceBenchOptions {
   std::string workload = "ycsb-a";

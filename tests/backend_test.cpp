@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/tcb.h"
 #include "nvm/backend.h"
@@ -86,6 +87,63 @@ TEST(FileBackendTest, CreateWriteReopenReadsBack) {
   std::uint8_t regs[Backend::kRegisterCapacity];
   ASSERT_EQ(r->load_registers(regs, sizeof(regs)), 5u);
   EXPECT_EQ(regs[4], 5);
+  std::remove(path.c_str());
+}
+
+/// The bit-at-a-time population count the open() path used to run, over
+/// the bitmap bytes covering `slots` (trailing partial byte included).
+std::size_t bit_loop_count(const std::vector<std::uint8_t>& bm,
+                           std::uint64_t slots) {
+  std::size_t count = 0;
+  for (std::uint64_t byte = 0; byte < (slots + 7) / 8; ++byte) {
+    for (std::uint8_t v = bm[byte]; v != 0; v >>= 1) count += v & 1;
+  }
+  return count;
+}
+
+TEST(FileBackendTest, ReopenCountsMatchTheBitLoopOnAPartialTrailingByte) {
+  // 77 lines: the presence bitmaps end in a byte with 5 live bits, and
+  // slot 76 (the last) sits in it. Populated slots straddle the 64-bit
+  // word boundary the word-wide count steps over.
+  constexpr std::uint64_t kLines = 77;
+  const std::string path = temp_path("partial.dimm");
+  const std::vector<std::uint64_t> lines = {0, 7, 8, 62, 63, 64, 65, 71, 72, 76};
+  const std::vector<std::uint64_t> eccs = {1, 63, 64, 76};
+  {
+    auto b = FileBackend::create(path, kLines * kLineSize);
+    ASSERT_NE(b, nullptr);
+    for (const std::uint64_t slot : lines) {
+      b->write_line(slot * kLineSize, pattern_line(slot));
+    }
+    for (const std::uint64_t slot : eccs) {
+      b->write_ecc(slot * kLineSize, {1, 2, 3, 4, 5, 6, 7, 8});
+    }
+    b->persist_barrier();
+  }
+  // Image layout (file_backend.cpp): a 4 KiB header, then the line and
+  // the ECC presence bitmaps, each padded to 4 KiB.
+  constexpr std::size_t kHeader = 4096;
+  constexpr std::size_t kBitmap = 4096;
+  std::vector<std::uint8_t> raw(kHeader + 2 * kBitmap);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fread(raw.data(), 1, raw.size(), f), raw.size());
+    std::fclose(f);
+  }
+  const std::vector<std::uint8_t> line_bm(raw.begin() + kHeader,
+                                          raw.begin() + kHeader + kBitmap);
+  const std::vector<std::uint8_t> ecc_bm(raw.begin() + kHeader + kBitmap,
+                                         raw.end());
+
+  auto r = FileBackend::open(path);
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->populated_lines(), bit_loop_count(line_bm, kLines));
+  EXPECT_EQ(r->populated_lines(), lines.size());
+  std::size_t ecc_seen = 0;
+  r->for_each_ecc([&](Addr, const EccBytes&) { ++ecc_seen; });
+  EXPECT_EQ(ecc_seen, bit_loop_count(ecc_bm, kLines));
+  EXPECT_EQ(ecc_seen, eccs.size());
   std::remove(path.c_str());
 }
 

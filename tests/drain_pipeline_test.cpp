@@ -197,6 +197,87 @@ TEST(BatchReadTest, ReadBlocksMatchesSerialLoopIncludingAlertOrder) {
             serial.base->stats().read_latency_cycles);
 }
 
+/// Every DesignStats field, for whole-struct equality.
+void expect_same_stats(const core::DesignStats& a, const core::DesignStats& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.write_backs, b.write_backs) << where;
+  EXPECT_EQ(a.reads, b.reads) << where;
+  EXPECT_EQ(a.drains, b.drains) << where;
+  EXPECT_EQ(a.drains_by_trigger, b.drains_by_trigger) << where;
+  EXPECT_EQ(a.page_reencryptions, b.page_reencryptions) << where;
+  EXPECT_EQ(a.hmac_ops, b.hmac_ops) << where;
+  EXPECT_EQ(a.aes_ops, b.aes_ops) << where;
+  EXPECT_EQ(a.online_counter_recoveries, b.online_counter_recoveries)
+      << where;
+  EXPECT_EQ(a.engine_busy_cycles, b.engine_busy_cycles) << where;
+  EXPECT_EQ(a.drain_cycles, b.drain_cycles) << where;
+  EXPECT_EQ(a.read_latency_cycles, b.read_latency_cycles) << where;
+  EXPECT_EQ(a.runtime_alerts, b.runtime_alerts) << where;
+}
+
+/// A chunk of written blocks over a cold, tiny Meta Cache, with one data
+/// line and one counter line tampered behind the controller's back. Every
+/// fetch of the tampered counter line fails its tree check mid-chunk, so
+/// the deferred data-HMAC failures must interleave with metadata alerts.
+ReadFixture make_tampered_chunk(std::size_t jobs) {
+  ReadFixture f;
+  core::DesignConfig cfg;
+  cfg.data_capacity = 1ull << 20;
+  cfg.meta_cache_bytes = 4 * kLineSize;  // nearly every counter misses
+  cfg.meta_cache_ways = 2;
+  cfg.recovery_jobs = jobs;
+  f.design = core::make_design(core::DesignKind::kCcNvm, cfg);
+  f.base = dynamic_cast<core::SecureNvmBase*>(f.design.get());
+  Rng rng(91);
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    const Addr addr = (i * 13 % 4096) * kLineSize;
+    Line pt{};
+    for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
+    f.base->write_back(addr, pt);
+    f.addrs.push_back(addr);
+  }
+  f.base->quiesce();
+  const Addr data_victim = f.addrs[40];
+  Line ct = f.base->image().read_line(data_victim);
+  ct[5] ^= 0x11;
+  f.base->image().restore_line(data_victim, ct);
+  const Addr counter_victim = f.base->layout().counter_line_addr(f.addrs[200]);
+  Line counters = f.base->image().read_line(counter_victim);
+  counters[0] ^= 0x02;
+  f.base->image().restore_line(counter_victim, counters);
+  f.addrs.push_back(data_victim);  // a second failing read of the victim
+  return f;
+}
+
+TEST(BatchReadTest, TamperedChunkMatchesSerialLoopAtEveryJobs) {
+  for (const std::size_t jobs :
+       {std::size_t{1}, core::DesignConfig{}.recovery_jobs}) {
+    const std::string where = "jobs=" + std::to_string(jobs);
+    ReadFixture serial = make_tampered_chunk(jobs);
+    ReadFixture batched = make_tampered_chunk(jobs);
+    std::vector<core::ReadResult> expect;
+    for (const Addr a : serial.addrs) {
+      expect.push_back(serial.base->read_block(a));
+    }
+    const std::vector<core::ReadResult> got =
+        batched.base->read_blocks(batched.addrs);
+    ASSERT_EQ(got.size(), expect.size()) << where;
+    std::size_t failed = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].plaintext, expect[i].plaintext) << where << " i=" << i;
+      EXPECT_EQ(got[i].latency, expect[i].latency) << where << " i=" << i;
+      EXPECT_EQ(got[i].integrity_ok, expect[i].integrity_ok)
+          << where << " i=" << i;
+      failed += expect[i].integrity_ok ? 0 : 1;
+    }
+    EXPECT_EQ(failed, 2u) << where << ": both reads of the data victim fail";
+    EXPECT_GT(serial.base->alerts().size(), failed)
+        << where << ": the counter's tree check must alert too";
+    EXPECT_EQ(batched.base->alerts(), serial.base->alerts()) << where;
+    expect_same_stats(batched.base->stats(), serial.base->stats(), where);
+  }
+}
+
 TEST(BatchReadTest, ReadBlocksAgreesAcrossBatchTiers) {
   const crypto::Sha1ManyImpl saved = crypto::active_sha1_many_impl();
   std::vector<std::vector<core::ReadResult>> per_tier;

@@ -226,7 +226,10 @@ TEST(RecoveryBatchTest, ReportAndImageMatchSerialSearchOnEveryTierAndJobs) {
     for (const crypto::Sha1ManyImpl impl :
          crypto::available_sha1_many_impls()) {
       crypto::force_sha1_many_impl(impl);
-      for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+      // 1 = inline, 3 = a fixed fan-out, and the default (auto: the
+      // process-wide pool at the hardware concurrency).
+      for (const std::size_t jobs : {std::size_t{1}, std::size_t{3},
+                                     core::DesignConfig{}.recovery_jobs}) {
         const Outcome got = run(s, jobs);
         EXPECT_EQ(got.report, s.want_report)
             << s.name << " tier=" << crypto::impl_name(impl)

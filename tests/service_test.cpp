@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -405,6 +408,39 @@ TEST(ServiceBenchTest, DigestIsDeterministicAndThreadCountInvariant) {
   const ServiceBenchResult c = run_service_ycsb(reshard);
   ASSERT_TRUE(c.verified) << c.failure;
   EXPECT_EQ(a.digest, c.digest);
+}
+
+TEST(ServiceBenchTest, EveryClientIsLiveAtOnce) {
+  // Clients are blocking actors, not compute: all eight must be running
+  // at the same time, whatever the core count. Each one waits at an
+  // eight-party rendezvous before its first request; clients queued
+  // behind a core-capped pool would never all arrive and the wait would
+  // time out.
+  constexpr std::size_t kClients = 8;
+  KvService service(small_config(2));
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t arrived = 0;
+  std::vector<int> met(kClients, 0);
+  std::vector<int> acked(kClients, 0);
+  run_clients(kClients, [&](std::size_t t) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ++arrived;
+      cv.notify_all();
+      met[t] = cv.wait_for(lock, std::chrono::seconds(30),
+                           [&] { return arrived == kClients; })
+                   ? 1
+                   : 0;
+    }
+    const std::string key = "client-" + std::to_string(t);
+    acked[t] = service.put(key, key).ok ? 1 : 0;
+  });
+  for (std::size_t t = 0; t < kClients; ++t) {
+    EXPECT_EQ(met[t], 1) << "client " << t << " never saw all eight live";
+    EXPECT_EQ(acked[t], 1) << "client " << t;
+  }
+  service.shutdown();
 }
 
 TEST(ServiceBenchTest, StatsAccountForEveryRequest) {

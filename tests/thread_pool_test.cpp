@@ -1,12 +1,18 @@
 // The deterministic parallel job executor: bit-identical results for any
-// worker count, index-ordered exception reporting, and the inline
-// single-worker path.
+// worker count, index-ordered exception reporting, the inline
+// single-worker and nested paths, and the persistent worker pool behind
+// them.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -86,6 +92,93 @@ TEST(ThreadPoolTest, WorkerCountIsClampedToCount) {
   std::vector<std::atomic<int>> hits(3);
   parallel_for(3, 16, [&](std::size_t i) { ++hits[i]; });
   EXPECT_EQ(hits[0].load() + hits[1].load() + hits[2].load(), 3);
+}
+
+TEST(ThreadPoolTest, NestedCallsRunInlineWithoutDeadlock) {
+  // Every outer job fans out again, from pool workers and from the
+  // participating caller alike; the inner calls must run on the thread
+  // that made them, so nothing waits on a pool already busy with the
+  // outer call.
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 32;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> foreign{0};
+  parallel_for(kOuter, 0, [&](std::size_t o) {
+    const auto outer_thread = std::this_thread::get_id();
+    parallel_for(kInner, 0, [&](std::size_t i) {
+      if (std::this_thread::get_id() != outer_thread) ++foreign;
+      ++hits[o * kInner + i];
+    });
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+  EXPECT_EQ(foreign.load(), 0) << "a nested call left its thread";
+}
+
+TEST(ThreadPoolTest, ConcurrentTopLevelCallersBothFinish) {
+  // Two threads share the pool; each drains its own call, so both
+  // complete and both see every index run once.
+  constexpr std::size_t kCount = 4096;
+  constexpr int kRounds = 50;
+  std::vector<std::atomic<int>> a(kCount);
+  std::vector<std::atomic<int>> b(kCount);
+  const auto caller = [](std::vector<std::atomic<int>>& hits) {
+    for (int r = 0; r < kRounds; ++r) {
+      parallel_for(hits.size(), 0, [&](std::size_t i) { ++hits[i]; });
+    }
+  };
+  std::thread ta(caller, std::ref(a));
+  std::thread tb(caller, std::ref(b));
+  ta.join();
+  tb.join();
+  for (std::size_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(a[i].load(), kRounds) << "index " << i;
+    EXPECT_EQ(b[i].load(), kRounds) << "index " << i;
+  }
+}
+
+TEST(ThreadPoolTest, BackToBackCallsReuseThePoolsThreads) {
+  // 10 K calls must be served by the same parked workers: the set of
+  // non-caller threads that ever ran a job never outgrows the pool.
+  const auto caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::set<std::thread::id> helpers;
+  for (int call = 0; call < 10000; ++call) {
+    parallel_for(8, 0, [&](std::size_t) {
+      const auto id = std::this_thread::get_id();
+      if (id == caller) return;
+      const std::lock_guard<std::mutex> lock(mu);
+      helpers.insert(id);
+    });
+  }
+  EXPECT_LE(helpers.size(), parallel_pool_size());
+}
+
+TEST(ThreadPoolTest, OneWorkerNeverTouchesThePool) {
+  const std::uint64_t before = parallel_pool_dispatches();
+  std::atomic<int> hits{0};
+  for (int call = 0; call < 100; ++call) {
+    parallel_for(64, 1, [&](std::size_t) { ++hits; });
+    parallel_for(1, 0, [&](std::size_t) { ++hits; });  // one index
+  }
+  EXPECT_EQ(hits.load(), 100 * 65);
+  EXPECT_EQ(parallel_pool_dispatches(), before);
+}
+
+TEST(ThreadPoolTest, LowestIndexExceptionWinsOnThePool) {
+  // Enough indices and workers that several throwing jobs land on
+  // different threads; the rethrown one is still the lowest index.
+  for (int round = 0; round < 20; ++round) {
+    try {
+      parallel_for(512, 0, [&](std::size_t i) {
+        if (i % 61 == 17) throw std::runtime_error(std::to_string(i));
+      });
+      FAIL() << "must rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "17");
+    }
+  }
 }
 
 TEST(ThreadPoolTest, DerivedSeedsAreDecorrelated) {
