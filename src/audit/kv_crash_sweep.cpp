@@ -1,13 +1,13 @@
 #include "audit/kv_crash_sweep.h"
 
-#include <map>
+#include <algorithm>
 #include <memory>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "audit/invariant_auditor.h"
+#include "audit/kv_oracle.h"
 #include "audit/sweep_shape.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -20,39 +20,6 @@ namespace {
 
 constexpr std::size_t kKeys = 20;
 
-/// The store footprint is 8 pages, i.e. ~11 distinct tracked metadata
-/// lines; 6 DAQ entries force pressure drains while staying above the
-/// one-path minimum.
-constexpr std::size_t kKvSweepDaqEntries = 6;
-
-store::StoreConfig sweep_store_config() {
-  store::StoreConfig cfg;
-  cfg.shards = 2;
-  cfg.buckets_per_shard = 64;
-  cfg.heap_lines_per_shard = 192;  // 8 pages total, inside the 64-page DIMM
-  return cfg;
-}
-
-std::string sweep_key(std::size_t i) {
-  return "key-" + std::to_string(i);
-}
-
-std::string sweep_value(std::uint64_t tag, std::uint64_t len) {
-  std::string v(len, '\0');
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = static_cast<char>(static_cast<std::uint8_t>(tag * 167 + i));
-  }
-  return v;
-}
-
-/// The store state one operation moves between: old on one side of the
-/// kill, new on the other. nullopt means "key absent".
-struct InFlightOp {
-  std::string key;
-  std::optional<std::string> before;
-  std::optional<std::string> after;
-};
-
 struct SweepTotals {
   KvCrashSweepResult result;
   void absorb(const InvariantAuditor& auditor) {
@@ -62,14 +29,12 @@ struct SweepTotals {
   }
 };
 
-/// Committed KV state (what must survive recovery exactly).
-using Expected = std::map<std::string, std::string>;
-
-/// Applies `ops` mixed operations, recording the committed state; returns
-/// true if an armed crash unwound one of them (recorded in `in_flight`).
+/// Applies `ops` mixed operations into `model`; returns true if an armed
+/// crash unwound one of them (left in flight in `model`).
 bool run_ops(store::SecureKvStore& kv, Rng& rng, std::size_t ops,
-             core::DrainTrigger trigger, Expected& expected,
-             std::optional<InFlightOp>& in_flight, SweepTotals& totals) {
+             core::DrainTrigger trigger, KvModel& model,
+             SweepTotals& totals) {
+  const std::vector<std::string> keys = numbered_keys("key-", kKeys);
   std::uint64_t tag = 0;
   for (std::size_t i = 0; i < ops; ++i) {
     // Update-limit shaping hammers one key so its header line's counter
@@ -78,72 +43,33 @@ bool run_ops(store::SecureKvStore& kv, Rng& rng, std::size_t ops,
         (trigger == core::DrainTrigger::kUpdateLimit && i % 4 != 3)
             ? 0
             : static_cast<std::size_t>(rng.below(kKeys));
-    const std::string key = sweep_key(key_index);
-    const std::uint64_t roll = rng.below(100);
-    const auto it = expected.find(key);
-    const std::optional<std::string> before =
-        it == expected.end() ? std::nullopt
-                             : std::optional<std::string>(it->second);
+    const KvOp op = draw_op(rng, keys[key_index], 140, 0, tag);
+    model.submit({op});
     try {
-      if (roll < 55) {
-        const std::string value = sweep_value(++tag, rng.below(140));
-        in_flight = InFlightOp{key, before, value};
-        CCNVM_CHECK_MSG(kv.put(key, value), "kv sweep: store unexpectedly full");
-        expected[key] = value;
-      } else if (roll < 80) {
-        in_flight = InFlightOp{key, before, std::nullopt};
-        kv.erase(key);
-        expected.erase(key);
-      } else {
-        in_flight = InFlightOp{key, before, before};  // reads change nothing
-        (void)kv.get(key);
-      }
-      in_flight.reset();
-      ++totals.result.ops_applied;
+      run_op(kv, op);
     } catch (const core::InjectedPowerLoss&) {
       ++totals.result.in_flight_ops;
       return true;
     }
+    model.ack();
+    ++totals.result.ops_applied;
   }
   return false;
 }
 
-/// Both directions of the acceptance criterion: every committed operation
-/// readable (zero lost), every surviving entry accounted for (zero
-/// spurious), the in-flight operation old-or-new.
-void verify_reopened(store::SecureKvStore& kv, const Expected& expected,
-                     const std::optional<InFlightOp>& in_flight,
+/// The oracle's contract on the reopened store, plus a full scan that
+/// must agree with the point lookups the oracle judged.
+void verify_reopened(store::SecureKvStore& kv, const KvModel& model,
                      SweepTotals& totals) {
-  for (std::size_t i = 0; i < kKeys; ++i) {
-    const std::string key = sweep_key(i);
-    const std::optional<std::string> got = kv.get(key);
-    if (in_flight && in_flight->key == key) {
-      CCNVM_CHECK_MSG(got == in_flight->before || got == in_flight->after,
-                      "kv sweep: in-flight operation left a third state");
-    } else if (const auto it = expected.find(key); it != expected.end()) {
-      CCNVM_CHECK_MSG(got.has_value() && *got == it->second,
-                      "kv sweep: committed operation lost after recovery");
-    } else {
-      CCNVM_CHECK_MSG(!got.has_value(),
-                      "kv sweep: erased/unwritten key reappeared");
-    }
-    ++totals.result.keys_verified;
-  }
+  const std::vector<std::string> keys = numbered_keys("key-", kKeys);
+  const auto reads = check_reopened(model, {{&kv, keys}});
+  totals.result.keys_verified += reads.size();
   std::uint64_t scanned = 0;
   kv.for_each([&](std::string_view key, std::string_view value) {
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    CCNVM_CHECK_MSG(it != keys.end() && reads[it - keys.begin()] == value,
+                    "kv sweep: scan disagrees with the point lookups");
     ++scanned;
-    const std::string k(key);
-    if (in_flight && in_flight->key == k) {
-      const std::optional<std::string> v{std::string(value)};
-      CCNVM_CHECK_MSG(v == in_flight->before || v == in_flight->after,
-                      "kv sweep: in-flight key scanned with a third value");
-      return;
-    }
-    const auto it = expected.find(k);
-    CCNVM_CHECK_MSG(it != expected.end(),
-                    "kv sweep: spurious survivor in the reopened store");
-    CCNVM_CHECK_MSG(it->second == value,
-                    "kv sweep: survivor carries a stale value");
   });
   CCNVM_CHECK_MSG(scanned == kv.size(),
                   "kv sweep: scan and live count disagree");
@@ -155,7 +81,7 @@ void run_cc_scenario(const KvCrashSweepConfig& config, std::uint64_t case_seed,
                      core::DrainCrashPoint point, SweepTotals& totals) {
   ++totals.result.scenarios;
   auto design = core::make_design(
-      kind, shaped_design_config(trigger, kKvSweepDaqEntries));
+      kind, shaped_design_config(trigger, kKvDaqEntries));
   auto* base = dynamic_cast<core::SecureNvmBase*>(design.get());
   auto* cc = dynamic_cast<core::CcNvmDesign*>(design.get());
   CCNVM_CHECK_MSG(base != nullptr && cc != nullptr,
@@ -166,15 +92,14 @@ void run_cc_scenario(const KvCrashSweepConfig& config, std::uint64_t case_seed,
 
   Rng rng(case_seed);
   store::SecureKvStore kv(*base, sweep_store_config());
-  Expected expected;
-  std::optional<InFlightOp> in_flight;
+  KvModel model;
 
   const bool armed = point != core::DrainCrashPoint::kNone &&
                      trigger != core::DrainTrigger::kExplicit;
   if (armed) cc->arm_drain_crash(point);
 
-  bool crashed = run_ops(kv, rng, config.ops_per_scenario, trigger, expected,
-                         in_flight, totals);
+  bool crashed =
+      run_ops(kv, rng, config.ops_per_scenario, trigger, model, totals);
   if (trigger == core::DrainTrigger::kExplicit && !crashed) {
     if (point == core::DrainCrashPoint::kNone) {
       kv.checkpoint();
@@ -203,7 +128,7 @@ void run_cc_scenario(const KvCrashSweepConfig& config, std::uint64_t case_seed,
 
   store::SecureKvStore reopened =
       store::SecureKvStore::open(*base, sweep_store_config());
-  verify_reopened(reopened, expected, in_flight, totals);
+  verify_reopened(reopened, model, totals);
   totals.absorb(auditor);
 }
 
@@ -224,11 +149,9 @@ void run_non_cc_scenario(const KvCrashSweepConfig& config,
 
   Rng rng(case_seed);
   store::SecureKvStore kv(*base, sweep_store_config());
-  Expected expected;
-  std::optional<InFlightOp> in_flight;
-  run_ops(kv, rng, crash_after, core::DrainTrigger::kExplicit, expected,
-          in_flight, totals);
-  CCNVM_CHECK_MSG(!in_flight.has_value(),
+  KvModel model;
+  CCNVM_CHECK_MSG(!run_ops(kv, rng, crash_after,
+                           core::DrainTrigger::kExplicit, model, totals),
                   "unarmed non-cc scenario crashed mid-operation");
 
   design->crash_power_loss();
@@ -244,7 +167,7 @@ void run_non_cc_scenario(const KvCrashSweepConfig& config,
     ++totals.result.recoveries;
     store::SecureKvStore reopened =
         store::SecureKvStore::open(*base, sweep_store_config());
-    verify_reopened(reopened, expected, in_flight, totals);
+    verify_reopened(reopened, model, totals);
   }
   totals.absorb(auditor);
 }

@@ -1,21 +1,15 @@
 // Crash-kill sweep for the KV service layer (src/store), riding the same
 // machinery as crash_sweep.h but driving *store operations* instead of raw
-// write-backs — so what is verified after every kill is application-level:
-// committed puts/erases survive recovery byte-exactly, and nothing that
-// was never acknowledged materializes.
+// write-backs — so what is verified after every kill is application-level.
 //
 // For each cc design and drain trigger, the workload's store geometry is
 // shaped so that trigger fires naturally while mixed put/get/erase traffic
 // (multi-line values included) runs with an InvariantAuditor attached; a
 // crash is armed at each DrainCrashPoint, the InjectedPowerLoss is caught,
-// the design recovers, and the store is re-opened with SecureKvStore::open.
-// Verification then walks both directions:
-//   - every operation acknowledged before the kill is readable with its
-//     latest value (zero lost operations);
-//   - a full store scan finds no key outside the acknowledged state
-//     (zero spurious survivors).
-// The single operation in flight at the kill is exempted both ways: its
-// key may surface with the old or the new state, never a third one.
+// the design recovers, and the store is re-opened with SecureKvStore::open
+// and held to the KV crash oracle (kv_oracle.h): zero lost acknowledged
+// operations, the one in-flight operation old-or-new, zero spurious
+// survivors — plus a full scan that must agree with the point lookups.
 // Non-cc designs get crash-after-K-operations passes (w/o CC as the foil
 // whose recovery must fail).
 #pragma once

@@ -14,6 +14,7 @@
 #include "common/types.h"
 #include "core/design.h"
 #include "core/protocol_observer.h"
+#include "store/kv_store.h"
 
 namespace ccnvm::audit {
 
@@ -30,6 +31,22 @@ inline Line sweep_pattern_line(std::uint64_t tag) {
   }
   return l;
 }
+
+/// Store geometry of the single-store KV crash harnesses (the KV sweep,
+/// the crash fuzzer, crashd's single-threaded family): 8 pages in total,
+/// inside the 64-page DIMM.
+inline store::StoreConfig sweep_store_config() {
+  store::StoreConfig cfg;
+  cfg.shards = 2;
+  cfg.buckets_per_shard = 64;
+  cfg.heap_lines_per_shard = 192;
+  return cfg;
+}
+
+/// DAQ size for the KV workloads: their 8-page footprint tracks ~11
+/// distinct metadata lines, so 6 entries force pressure drains while
+/// staying above the one-path minimum.
+inline constexpr std::size_t kKvDaqEntries = 6;
 
 /// Geometry shaped so `trigger` is the drain trigger the workload hits:
 /// a DAQ too small for many distinct pages, a Meta Cache too small to

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <utility>
 
 #include "common/thread_pool.h"
 
@@ -37,6 +38,36 @@ std::string_view design_name(DesignKind kind) {
       return "Phoenix";
   }
   return "?";
+}
+
+std::optional<DesignKind> parse_design(std::string_view name,
+                                       std::uint32_t* persist_level) {
+  constexpr std::pair<std::string_view, DesignKind> kNames[] = {
+      {"wocc", DesignKind::kWoCc},
+      {"sc", DesignKind::kStrict},
+      {"osiris", DesignKind::kOsirisPlus},
+      {"ccnvm-nods", DesignKind::kCcNvmNoDs},
+      {"ccnvm", DesignKind::kCcNvm},
+      {"ccnvm-plus", DesignKind::kCcNvmPlus},
+      {"phoenix", DesignKind::kPhoenix},
+      {"triad", DesignKind::kTriadNvm},
+  };
+  for (const auto& [known, kind] : kNames) {
+    if (name == known) return kind;
+  }
+  constexpr std::string_view kTriadN = "triad-n";
+  if (!name.starts_with(kTriadN) || name.size() == kTriadN.size()) {
+    return std::nullopt;
+  }
+  std::uint32_t level = 0;
+  for (const char c : name.substr(kTriadN.size())) {
+    if (c < '0' || c > '9') return std::nullopt;
+    level = level * 10 + static_cast<std::uint32_t>(c - '0');
+    if (level > 64) return std::nullopt;  // also stops any overflow
+  }
+  if (level == 0) return std::nullopt;
+  if (persist_level != nullptr) *persist_level = level;
+  return DesignKind::kTriadNvm;
 }
 
 namespace {

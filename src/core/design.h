@@ -65,6 +65,14 @@ enum class DesignKind {
 
 std::string_view design_name(DesignKind kind);
 
+/// Parses a CLI design name: wocc, sc, osiris, ccnvm-nods, ccnvm,
+/// ccnvm-plus, phoenix, triad, or triad-n<K> (Triad-NVM with persist
+/// frontier K in 1..64). `persist_level` (optional) receives K and is left
+/// alone for every other name, plain triad included (K = 1 is the
+/// DesignConfig default). Unknown names and out-of-range K give nullopt.
+std::optional<DesignKind> parse_design(std::string_view name,
+                                       std::uint32_t* persist_level = nullptr);
+
 struct DesignConfig {
   std::uint64_t data_capacity = 1ull << 20;
   std::uint64_t key_seed = 0x5eedULL;

@@ -10,14 +10,16 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <thread>
 #include <utility>
 
 #include "audit/invariant_auditor.h"
+#include "audit/kv_oracle.h"
 #include "audit/sweep_shape.h"
 #include "common/annotations.h"
 #include "common/check.h"
@@ -31,15 +33,20 @@
 namespace ccnvm::crashd {
 namespace {
 
+using audit::KvOp;
+using audit::KvOpKind;
+using audit::KvUnit;
+
 constexpr std::size_t kKeys = 16;
-constexpr std::size_t kCrashdDaqEntries = 6;
 constexpr std::size_t kCheckpointEvery = 8;
 
-// Service family bounds (derive_service_scenario stays inside these; the
-// sweep's file cleanup relies on the maxima).
-constexpr std::size_t kServiceKeysPerThread = 8;
+// Service and txn family bounds (the derive_* functions stay inside
+// these). Txn shards are pinned at 2 (see crashd.h: a both-shard
+// commit's locks are what make wave kills safe).
+constexpr std::size_t kKeysPerThread = 8;
 constexpr std::size_t kServiceMaxShards = 2;
 constexpr std::size_t kServiceMaxThreads = 4;
+constexpr std::size_t kTxnShards = 2;
 
 /// The paper's crash model has no notion of a process observing its own
 /// death; raise(SIGKILL) matches that — no handlers, no unwinding, no
@@ -47,172 +54,6 @@ constexpr std::size_t kServiceMaxThreads = 4;
 [[noreturn]] void die_now() {
   std::raise(SIGKILL);
   std::abort();  // unreachable: SIGKILL cannot be blocked
-}
-
-enum class OpKind { kPut, kErase, kGet };
-
-struct KvOp {
-  OpKind kind = OpKind::kGet;
-  std::string key;
-  std::string value;  // kPut only
-};
-
-/// One deterministic operation draw. Worker and verifier both call this
-/// with an identically seeded Rng, so the streams match byte for byte.
-/// The mix mirrors the in-process crash fuzz engine: mostly puts (out-
-/// of-place updates stress the heap/commit path), a hammered key when
-/// the update-limit trigger is under test.
-KvOp generate_op(Rng& rng, core::DrainTrigger trigger,
-                 std::uint64_t& put_tag) {
-  KvOp op;
-  const std::size_t key_index =
-      (trigger == core::DrainTrigger::kUpdateLimit && !rng.chance(0.25))
-          ? 0
-          : static_cast<std::size_t>(rng.below(kKeys));
-  op.key = "cd-" + std::to_string(key_index);
-  const std::uint64_t roll = rng.below(100);
-  if (roll < 55) {
-    op.kind = OpKind::kPut;
-    const std::uint64_t vtag = ++put_tag;
-    op.value.assign(rng.below(140), '\0');
-    for (std::size_t j = 0; j < op.value.size(); ++j) {
-      op.value[j] = static_cast<char>(static_cast<std::uint8_t>(vtag * 167 + j));
-    }
-  } else if (roll < 80) {
-    op.kind = OpKind::kErase;
-  } else {
-    op.kind = OpKind::kGet;
-  }
-  return op;
-}
-
-std::string ack_path(const std::string& image_path) {
-  return image_path + ".ack";
-}
-
-std::string service_image_path(const std::string& image_path,
-                               std::size_t shard) {
-  return image_path + ".s" + std::to_string(shard);
-}
-
-std::string service_ack_path(const std::string& image_path,
-                             std::size_t thread) {
-  return image_path + ".ack.t" + std::to_string(thread);
-}
-
-/// One deterministic operation draw for service client thread `thread`.
-/// Key namespaces are disjoint per thread ("sv<t>-<k>"), so each
-/// thread's model replays independently of scheduling; the value bytes
-/// are tagged by thread so a cross-thread mixup cannot masquerade as a
-/// correct read-back.
-KvOp generate_service_op(Rng& rng, std::size_t thread,
-                         core::DrainTrigger trigger, std::uint64_t& put_tag) {
-  KvOp op;
-  const std::size_t key_index =
-      (trigger == core::DrainTrigger::kUpdateLimit && !rng.chance(0.25))
-          ? 0
-          : static_cast<std::size_t>(rng.below(kServiceKeysPerThread));
-  op.key = "sv" + std::to_string(thread) + "-" + std::to_string(key_index);
-  const std::uint64_t roll = rng.below(100);
-  if (roll < 55) {
-    op.kind = OpKind::kPut;
-    const std::uint64_t vtag = ++put_tag;
-    op.value.assign(rng.below(140), '\0');
-    for (std::size_t j = 0; j < op.value.size(); ++j) {
-      op.value[j] = static_cast<char>(
-          static_cast<std::uint8_t>(vtag * 167 + j + thread * 29));
-    }
-  } else if (roll < 80) {
-    op.kind = OpKind::kErase;
-  } else {
-    op.kind = OpKind::kGet;
-  }
-  return op;
-}
-
-// Txn family bounds. Shards are pinned at 2 (see crashd.h: a both-shard
-// commit's locks are what make wave kills safe); threads stay within the
-// service family's maximum so the sweep's file cleanup covers both.
-constexpr std::size_t kTxnShards = 2;
-constexpr std::size_t kTxnKeysPerThread = 8;
-
-std::string txn_key(std::size_t thread, std::size_t k) {
-  return "tx" + std::to_string(thread) + "-" + std::to_string(k);
-}
-
-/// One deterministic sub-operation draw for txn client thread `thread`.
-/// Same disjoint-namespace + thread-tagged-value scheme as the service
-/// family; values stay under 100 bytes so a prepared txn's staged copies
-/// fit the engine's heap beside the live worst case.
-KvOp generate_txn_sub_op(Rng& rng, std::size_t thread,
-                         std::uint64_t& put_tag) {
-  KvOp op;
-  op.key = txn_key(thread, static_cast<std::size_t>(
-                               rng.below(kTxnKeysPerThread)));
-  const std::uint64_t roll = rng.below(100);
-  if (roll < 55) {
-    op.kind = OpKind::kPut;
-    const std::uint64_t vtag = ++put_tag;
-    op.value.assign(rng.below(100), '\0');
-    for (std::size_t j = 0; j < op.value.size(); ++j) {
-      op.value[j] = static_cast<char>(
-          static_cast<std::uint8_t>(vtag * 167 + j + thread * 29));
-    }
-  } else if (roll < 80) {
-    op.kind = OpKind::kErase;
-  } else {
-    op.kind = OpKind::kGet;
-  }
-  return op;
-}
-
-/// One client action: a single op (ack 'A') or a whole 2-4-op
-/// transaction (one submit_txn, ack 'T'). Biased toward txns — they are
-/// what this family exists to kill.
-struct TxnAction {
-  bool is_txn = false;
-  std::vector<KvOp> ops;  // one entry for a single, 2..4 for a txn
-};
-
-TxnAction generate_txn_action(Rng& rng, std::size_t thread,
-                              std::uint64_t& put_tag) {
-  TxnAction action;
-  action.is_txn = rng.below(100) < 60;
-  const std::size_t n =
-      action.is_txn ? 2 + static_cast<std::size_t>(rng.below(3)) : 1;
-  action.ops.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    action.ops.push_back(generate_txn_sub_op(rng, thread, put_tag));
-  }
-  return action;
-}
-
-/// The ServiceConfig both the worker and the verifier derive engines
-/// from (the worker adds the backend factory and kill hooks on top).
-/// KvService::engine_design_config over this is the single source of
-/// per-shard design geometry for reopening a dead service's images.
-service::ServiceConfig service_scenario_config(const ServiceScenario& sc) {
-  service::ServiceConfig cfg;
-  cfg.shards = sc.shards;
-  cfg.queue_capacity = 64;
-  cfg.commit.max_batch = sc.max_batch;
-  cfg.commit.max_delay_us = sc.max_delay_us;
-  cfg.kind = sc.kind;
-  cfg.design = audit::shaped_design_config(sc.trigger, kCrashdDaqEntries);
-  cfg.store = service_store_config();
-  return cfg;
-}
-
-service::ServiceConfig txn_scenario_config(const TxnScenario& sc) {
-  service::ServiceConfig cfg;
-  cfg.shards = kTxnShards;
-  cfg.queue_capacity = 64;
-  cfg.commit.max_batch = sc.max_batch;
-  cfg.commit.max_delay_us = sc.max_delay_us;
-  cfg.kind = sc.kind;
-  cfg.design = audit::shaped_design_config(sc.trigger, kCrashdDaqEntries);
-  cfg.store = txn_store_config();
-  return cfg;
 }
 
 const char* trigger_name(core::DrainTrigger t) {
@@ -235,50 +76,508 @@ const char* phase_name(core::DrainCrashPoint p) {
   return "?";
 }
 
-}  // namespace
-
-store::StoreConfig crashd_store_config() {
-  store::StoreConfig cfg;
-  cfg.shards = 2;
-  cfg.buckets_per_shard = 64;
-  cfg.heap_lines_per_shard = 192;
-  return cfg;
+/// Key choice of the single and service families (mirrors the crash fuzz
+/// engine): a hammered key when the update-limit trigger is under test.
+std::size_t draw_key_index(Rng& rng, core::DrainTrigger trigger,
+                           std::size_t keys) {
+  return (trigger == core::DrainTrigger::kUpdateLimit && !rng.chance(0.25))
+             ? 0
+             : static_cast<std::size_t>(rng.below(keys));
 }
+
+/// What the shared worker, verifier and sweep code needs to know about
+/// one scenario, whatever its family.
+struct Shape {
+  Family family = Family::kSingle;
+  std::string description;
+  /// Design kind, shard count, per-shard design and store geometry. The
+  /// single family runs its one engine without a KvService.
+  service::ServiceConfig engines;
+  std::size_t threads = 1;  // one client thread and ack log each
+  std::size_t units = 0;    // units per thread
+  bool kill_drawn = false;  // false: every client must finish cleanly
+  bool attack = false;      // single family: corrupt the image, then locate
+  std::vector<std::string> keyspace;
+  std::vector<std::uint64_t> thread_seeds;
+  /// Draws thread t's next unit; worker and verifier both replay it.
+  std::function<KvUnit(Rng&, std::size_t t, std::uint64_t& put_tag)> draw;
+};
+
+Shape shape_of(const Scenario& sc) {
+  Shape shape;
+  shape.description = describe(sc);
+  shape.engines.shards = 1;
+  shape.engines.kind = sc.kind;
+  shape.engines.design =
+      audit::shaped_design_config(sc.trigger, audit::kKvDaqEntries);
+  shape.engines.design.persist_level = sc.persist_level;
+  shape.engines.store = audit::sweep_store_config();
+  shape.units = sc.ops;
+  shape.kill_drawn = sc.kill != KillMode::kNone && sc.kill != KillMode::kAttack;
+  shape.attack = sc.kill == KillMode::kAttack;
+  shape.keyspace = audit::numbered_keys("cd-", kKeys);
+  shape.thread_seeds = {sc.workload_seed};
+  shape.draw = [trigger = sc.trigger, keys = shape.keyspace](
+                   Rng& rng, std::size_t, std::uint64_t& put_tag) {
+    const std::size_t k = draw_key_index(rng, trigger, keys.size());
+    return KvUnit{audit::draw_op(rng, keys[k], 140, 0, put_tag)};
+  };
+  return shape;
+}
+
+/// Thread t of a KvService family owns keys "<prefix><t>-<k>": disjoint
+/// namespaces, so each thread's model replays independently of
+/// scheduling. Value bytes are salted by thread (t * 29) so a
+/// cross-thread mixup cannot masquerade as a correct read-back.
+std::string thread_key(const char* prefix, std::size_t t, std::size_t k) {
+  return prefix + std::to_string(t) + "-" + std::to_string(k);
+}
+
+/// The Shape parts the KvService families share. Engine geometry (the
+/// worker adds the backend factory and kill hooks on top;
+/// KvService::engine_design_config over it is the single source of
+/// per-shard design geometry for reopening a dead service's images): one
+/// store shard per engine (the service supplies the sharding), sized for
+/// the worst case — every thread's keys (4 * 8 of <= 140 bytes) on one
+/// engine, plus, with a `txn_ops`-op journal, one prepared txn's staged
+/// copies — with churn slack.
+template <class Sc>
+Shape service_shape(Family family, const Sc& sc, std::size_t shards,
+                    std::size_t txn_ops, const char* key_prefix) {
+  Shape shape;
+  shape.family = family;
+  shape.description = describe(sc);
+  service::ServiceConfig& cfg = shape.engines;
+  cfg.shards = shards;
+  cfg.queue_capacity = 64;
+  cfg.commit.max_batch = sc.max_batch;
+  cfg.commit.max_delay_us = sc.max_delay_us;
+  cfg.kind = sc.kind;
+  cfg.design = audit::shaped_design_config(sc.trigger, audit::kKvDaqEntries);
+  cfg.store.shards = 1;
+  cfg.store.buckets_per_shard = 64;
+  cfg.store.heap_lines_per_shard = 192;
+  cfg.store.txn_ops_capacity = txn_ops;
+  shape.threads = sc.threads;
+  shape.kill_drawn = sc.kill != decltype(sc.kill)::kNone;
+  for (std::size_t t = 0; t < sc.threads; ++t) {
+    shape.thread_seeds.push_back(derive_seed(sc.workload_seed, t));
+    for (std::size_t k = 0; k < kKeysPerThread; ++k) {
+      shape.keyspace.push_back(thread_key(key_prefix, t, k));
+    }
+  }
+  return shape;
+}
+
+Shape shape_of(const ServiceScenario& sc) {
+  Shape shape = service_shape(Family::kService, sc, sc.shards, 0, "sv");
+  shape.units = sc.ops_per_thread;
+  shape.draw = [trigger = sc.trigger](Rng& rng, std::size_t t,
+                                      std::uint64_t& put_tag) {
+    const std::size_t k = draw_key_index(rng, trigger, kKeysPerThread);
+    return KvUnit{
+        audit::draw_op(rng, thread_key("sv", t, k), 140, t * 29, put_tag)};
+  };
+  return shape;
+}
+
+Shape shape_of(const TxnScenario& sc) {
+  Shape shape = service_shape(Family::kTxn, sc, kTxnShards, 8, "tx");
+  shape.units = sc.actions_per_thread;
+  // One unit is a single op or a whole 2-4-op transaction, biased toward
+  // txns — they are what this family exists to kill. Values stay under
+  // 100 bytes so a prepared txn's staged copies fit the engine's heap
+  // beside the live worst case.
+  shape.draw = [](Rng& rng, std::size_t t, std::uint64_t& put_tag) {
+    const bool is_txn = rng.below(100) < 60;
+    const std::uint64_t n = is_txn ? 2 + rng.below(3) : 1;
+    KvUnit unit;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const auto k = static_cast<std::size_t>(rng.below(kKeysPerThread));
+      unit.push_back(
+          audit::draw_op(rng, thread_key("tx", t, k), 100, t * 29, put_tag));
+    }
+    return unit;
+  };
+  return shape;
+}
+
+Shape shape_of(Family family, std::uint64_t sweep_seed, std::uint64_t index,
+               const DesignPin* pin) {
+  CCNVM_CHECK_MSG(pin == nullptr || family == Family::kSingle,
+                  "crashd: design pins are single-threaded-family only");
+  switch (family) {
+    case Family::kService:
+      return shape_of(derive_service_scenario(sweep_seed, index));
+    case Family::kTxn:
+      return shape_of(derive_txn_scenario(sweep_seed, index));
+    case Family::kSingle:
+      break;
+  }
+  return shape_of(derive_scenario(sweep_seed, index, pin));
+}
+
+std::string shard_path(const Shape& shape, const std::string& image,
+                       std::size_t shard) {
+  return shape.family == Family::kSingle
+             ? image
+             : image + ".s" + std::to_string(shard);
+}
+
+std::string ack_path(const Shape& shape, const std::string& image,
+                     std::size_t thread) {
+  return shape.family == Family::kSingle
+             ? image + ".ack"
+             : image + ".ack.t" + std::to_string(thread);
+}
+
+/// 'A' promises a single op, 'T' a whole transaction.
+char ack_byte(const KvUnit& unit) { return unit.size() > 1 ? 'T' : 'A'; }
+
+std::unique_ptr<nvm::Backend> create_image(const std::string& path,
+                                           std::uint64_t capacity_bytes) {
+  // kNone: SIGKILL keeps the page cache, which is all this harness needs
+  // (see file comment in nvm/file_backend.h); kSync would model machine
+  // power cuts and msync on every batch.
+  return nvm::FileBackend::create(path, capacity_bytes,
+                                  nvm::FileBackend::SyncMode::kNone);
+}
+
+// ---- Worker side ---------------------------------------------------------
+
+/// One unbuffered ack log per client thread, all created before any
+/// traffic so the verifier finds every log even after an instant kill.
+/// One write(2) per ack: a buffered stream would lose acks sitting in
+/// user-space buffers at the kill and make the verifier under-count what
+/// the worker promised.
+class AckLogs {
+ public:
+  AckLogs(const Shape& shape, const std::string& image) {
+    for (std::size_t t = 0; t < shape.threads; ++t) {
+      fds_.push_back(::open(ack_path(shape, image, t).c_str(),
+                            O_WRONLY | O_CREAT | O_TRUNC, 0644));
+      CCNVM_CHECK_MSG(fds_.back() >= 0, "crashd worker: cannot create ack log");
+    }
+  }
+  ~AckLogs() {
+    for (const int fd : fds_) ::close(fd);
+  }
+  AckLogs(const AckLogs&) = delete;
+  AckLogs& operator=(const AckLogs&) = delete;
+
+  /// The ack IS the durability promise the verifier holds the image to:
+  /// anything acknowledged must survive the kill. CCNVM_ACK lets nvlint
+  /// prove no unbarriered persistent write can precede an ack (check N1).
+  CCNVM_ACK void ack(std::size_t thread, char c) const {
+    CCNVM_CHECK(::write(fds_[thread], &c, 1) == 1);
+  }
+
+ private:
+  std::vector<int> fds_;
+};
+
+int run_single_worker(const Scenario& sc, const Shape& shape,
+                      const std::string& image) {
+  core::DesignConfig cfg = shape.engines.design;
+  cfg.backend_factory = [&image](std::uint64_t capacity_bytes) {
+    return create_image(image, capacity_bytes);
+  };
+  auto design = core::make_design(sc.kind, cfg);
+  auto* base = dynamic_cast<core::SecureNvmBase*>(design.get());
+  auto* cc = dynamic_cast<core::CcNvmDesign*>(design.get());
+  CCNVM_CHECK_MSG(base != nullptr, "crashd worker needs a SecureNvmBase");
+  CCNVM_CHECK_MSG(cc != nullptr || sc.kill != KillMode::kDrainPhase,
+                  "crashd drain-phase kill needs a CcNvmDesign");
+  const AckLogs acks(shape, image);
+  if (sc.kill == KillMode::kDrainPhase) {
+    cc->set_power_loss_hook([] { die_now(); });
+  }
+
+  store::SecureKvStore kv(*base, shape.engines.store);
+  Rng rng(shape.thread_seeds[0]);
+  std::uint64_t put_tag = 0;
+  bool armed = false;
+  for (std::size_t i = 0; i < sc.ops; ++i) {
+    if (sc.kill == KillMode::kDrainPhase && !armed &&
+        base->stats().drains >= sc.target_drain) {
+      cc->arm_drain_crash(sc.phase);
+      armed = true;
+    }
+    audit::run_op(kv, shape.draw(rng, 0, put_tag).front());
+    if (sc.kill == KillMode::kBeforeAck && i == sc.kill_op) die_now();
+    acks.ack(0, 'A');
+    if (sc.kill == KillMode::kOpBoundary && i == sc.kill_op) die_now();
+    if (sc.trigger == core::DrainTrigger::kExplicit &&
+        (i + 1) % kCheckpointEvery == 0) {
+      kv.checkpoint();
+    }
+  }
+  // Clean shutdown (reached when no kill was drawn or an armed drain
+  // crash never fired): quiesce, then promise the full trace.
+  kv.checkpoint();
+  acks.ack(0, 'C');
+  return 0;
+}
+
+void run_unit(service::KvService& service, const KvUnit& unit) {
+  std::vector<service::TxnOp> ops;
+  for (const KvOp& op : unit) {
+    ops.push_back({op.kind == KvOpKind::kPut     ? service::OpType::kPut
+                   : op.kind == KvOpKind::kErase ? service::OpType::kErase
+                                                 : service::OpType::kGet,
+                   op.key, op.value});
+  }
+  if (ops.size() > 1) {
+    CCNVM_CHECK_MSG(service.submit_txn(ops).committed,
+                    "crashd worker: txn aborted");
+    return;
+  }
+  const service::TxnOp& op = ops.front();
+  service::Request r;
+  r.op = op.op;
+  r.key = op.key;
+  r.value = op.value;
+  CCNVM_CHECK_MSG(service.submit(std::move(r)).get().ok ||
+                      op.op != service::OpType::kPut,
+                  "crashd worker: store full");
+}
+
+/// The KvService families' worker: `cfg` is shape.engines plus the
+/// family's kill hooks; each client thread runs its unit stream and acks
+/// every unit.
+int run_service_clients(service::ServiceConfig cfg, const Shape& shape,
+                        const std::string& image) {
+  cfg.backend_factory = [&shape, &image](std::size_t shard,
+                                         std::uint64_t capacity_bytes) {
+    return create_image(shard_path(shape, image, shard), capacity_bytes);
+  };
+  const AckLogs acks(shape, image);
+  service::KvService service(cfg);
+  std::vector<std::thread> clients;
+  for (std::size_t t = 0; t < shape.threads; ++t) {
+    clients.emplace_back([&service, &shape, &acks, t] {
+      // The service completes a request only after its barrier
+      // (KvService's ack-after-barrier contract; submit_txn after every
+      // touched shard's); the ack byte re-promises it to the verifier.
+      Rng rng(shape.thread_seeds[t]);
+      std::uint64_t put_tag = 0;
+      for (std::size_t i = 0; i < shape.units; ++i) {
+        const KvUnit unit = shape.draw(rng, t, put_tag);
+        run_unit(service, unit);
+        acks.ack(t, ack_byte(unit));
+      }
+      acks.ack(t, 'C');
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  // Reached when no kill was drawn or the target never fired: quiesce.
+  service.shutdown();
+  return 0;
+}
+
+int run_service_worker(const ServiceScenario& sc, const Shape& shape,
+                       const std::string& image) {
+  // One drain worker, so a kill from its safe point tears no line write.
+  CCNVM_CHECK_MSG(sc.kill == ServiceKill::kNone || sc.shards == 1,
+                  "crashd service: kill scenarios must be single-shard");
+  // Declared before the service so the hooks capturing it outlive the
+  // drain workers.
+  std::atomic<std::uint64_t> events{0};
+  service::ServiceConfig cfg = shape.engines;
+  const auto kill_at_target = [&events, target = sc.kill_target] {
+    if (events.fetch_add(1) + 1 == target) die_now();
+  };
+  if (sc.kill == ServiceKill::kMidBatch) {
+    cfg.after_apply_hook = kill_at_target;
+  } else if (sc.kill == ServiceKill::kAfterBarrier) {
+    cfg.after_barrier_hook = kill_at_target;
+  }
+  return run_service_clients(std::move(cfg), shape, image);
+}
+
+int run_txn_worker(const TxnScenario& sc, const Shape& shape,
+                   const std::string& image) {
+  std::atomic<std::uint64_t> wave_events{0};
+  service::ServiceConfig cfg = shape.engines;
+  if (sc.kill == TxnKill::kAtWave) {
+    cfg.txn_wave_hook = [&wave_events, wave = sc.kill_wave,
+                         target = sc.kill_target](int w,
+                                                  std::size_t participants) {
+      // Both-shard commits only: their locks park every drain worker (see
+      // crashd.h); a single-shard txn leaves the other worker live.
+      if (w != wave || participants < kTxnShards) return;
+      if (wave_events.fetch_add(1) + 1 == target) die_now();
+    };
+  }
+  return run_service_clients(std::move(cfg), shape, image);
+}
+
+// ---- Verifier side -------------------------------------------------------
+
+/// A shard engine rebuilt from the image file a dead worker left behind,
+/// with the invariant auditor attached and recovery run.
+struct Reopened {
+  std::unique_ptr<core::SecureNvmDesign> design;
+  core::SecureNvmBase* base = nullptr;
+  std::unique_ptr<audit::InvariantAuditor> auditor;
+  core::RecoveryReport report;
+};
+
+/// `tamper` (attack scenarios) corrupts the image before recovery runs.
+Reopened reopen(const std::string& path, core::DesignKind kind,
+                const core::DesignConfig& cfg,
+                const std::function<void(nvm::NvmImage&,
+                                         const core::SecureNvmBase&)>&
+                    tamper = nullptr) {
+  auto backend = nvm::FileBackend::open(path);
+  CCNVM_CHECK_MSG(backend != nullptr,
+                  "crashd verify: image file missing or unreadable");
+  std::uint8_t regs[nvm::Backend::kRegisterCapacity];
+  const std::size_t reg_len = backend->load_registers(regs, sizeof(regs));
+  core::TcbRegisters tcb;
+  CCNVM_CHECK_MSG(core::decode_tcb(regs, reg_len, tcb),
+                  "crashd verify: image carries no valid TCB register blob");
+  nvm::NvmImage image(std::move(backend));
+
+  Reopened r;
+  r.design = core::make_design(kind, cfg);
+  r.base = dynamic_cast<core::SecureNvmBase*>(r.design.get());
+  CCNVM_CHECK(r.base != nullptr);
+  r.auditor = std::make_unique<audit::InvariantAuditor>(
+      audit::InvariantAuditor::Options{.verify_image = true});
+  r.auditor->attach(*r.base);
+  if (tamper) tamper(image, *r.base);
+  r.base->restore_from_power_down(std::move(image), tcb);
+  r.report = r.design->recover();
+  return r;
+}
+
+void verify_shape(const Shape& shape, const std::string& image,
+                  std::uint64_t sweep_seed, std::uint64_t index,
+                  VerifyResult& res) {
+  // --- The ack logs: what each client was promised before the kill. ---
+  audit::KvModel model;
+  bool all_clean = true;
+  for (std::size_t t = 0; t < shape.threads; ++t) {
+    std::ifstream in(ack_path(shape, image, t), std::ios::binary);
+    CCNVM_CHECK_MSG(in.is_open(), "crashd verify: missing ack log");
+    const std::string log{std::istreambuf_iterator<char>(in), {}};
+    const bool clean = !log.empty() && log.back() == 'C';
+    const std::size_t acked = log.size() - (clean ? 1 : 0);
+    CCNVM_CHECK_MSG(acked <= shape.units,
+                    "crashd verify: more acks than units");
+    CCNVM_CHECK_MSG(!clean || acked == shape.units,
+                    "crashd verify: clean exit with missing acks");
+    // Replay the acked prefix. A client submits unit i+1 only after unit
+    // i's ack, so at most one unit per thread is in flight at the kill.
+    Rng rng(shape.thread_seeds[t]);
+    std::uint64_t put_tag = 0;
+    for (std::size_t i = 0; i < shape.units && i <= acked; ++i) {
+      KvUnit unit = shape.draw(rng, t, put_tag);
+      if (i == acked) {
+        model.submit(std::move(unit), t);
+        break;
+      }
+      CCNVM_CHECK_MSG(log[i] == ack_byte(unit),
+                      "crashd verify: ack log disagrees with the op stream");
+      model.submit(std::move(unit), t);
+      model.ack(t);
+    }
+    all_clean = all_clean && clean;
+    res.acked_ops += acked;
+  }
+  CCNVM_CHECK_MSG(all_clean || shape.kill_drawn,
+                  "crashd verify: worker died in a no-kill run");
+  res.worker_was_killed = !all_clean;
+
+  if (shape.attack) {
+    // §4.4 attack location: flip one bit in a populated data line of the
+    // (cleanly quiesced) image; recovery must both detect and pinpoint it.
+    Addr victim = 0;
+    const Reopened r = reopen(
+        image, shape.engines.kind, shape.engines.design,
+        [&](nvm::NvmImage& img, const core::SecureNvmBase& base) {
+          const Addr data_end = base.layout().data_capacity();
+          std::vector<Addr> candidates;
+          img.for_each_line([&](Addr addr, const Line&) {
+            if (addr < data_end) candidates.push_back(addr);
+          });
+          std::sort(candidates.begin(), candidates.end());
+          CCNVM_CHECK_MSG(!candidates.empty(),
+                          "crashd verify: attack found no data lines");
+          Rng attack_rng(derive_seed(sweep_seed, index, 0xa77acc));
+          victim = candidates[attack_rng.below(candidates.size())];
+          Line line = img.read_line(victim);
+          line[attack_rng.below(kLineSize)] ^=
+              static_cast<std::uint8_t>(1u << attack_rng.below(8));
+          img.restore_line(victim, line);
+        });
+    CCNVM_CHECK_MSG(r.report.attack_detected,
+                    "crashd verify: corrupted data line not detected");
+    CCNVM_CHECK_MSG(r.report.attack_located,
+                    "crashd verify: corrupted data line not located");
+    CCNVM_CHECK_MSG(std::find(r.report.tampered_blocks.begin(),
+                              r.report.tampered_blocks.end(),
+                              victim) != r.report.tampered_blocks.end(),
+                    "crashd verify: located the wrong line");
+    res.attack_checked = true;
+    res.auditor_checks = r.auditor->checks_performed();
+    return;
+  }
+
+  // --- Reopen every shard, then open the stores in shard order: a txn's
+  // coordinator is its lowest participant, so its decision line is open
+  // before any other participant's journal asks for it. ---
+  const std::size_t shards = shape.engines.shards;
+  std::vector<Reopened> engines;
+  for (std::size_t s = 0; s < shards; ++s) {
+    engines.push_back(
+        reopen(shard_path(shape, image, s), shape.engines.kind,
+               service::KvService::engine_design_config(shape.engines, s)));
+    CCNVM_CHECK_MSG(
+        engines.back().report.clean && engines.back().report.metadata_recovered,
+        "crashd verify: recovery of the killed image not clean");
+  }
+  std::vector<store::SecureKvStore> stores;
+  stores.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    stores.push_back(store::SecureKvStore::open(
+        *engines[s].base, shape.engines.store,
+        [&stores, s](std::uint64_t txn_id, std::uint32_t coordinator) {
+          // A self-coordinated txn whose own decision line already failed
+          // to answer is undecided: presumed abort.
+          return coordinator < s &&
+                 stores[coordinator].last_txn_decision() ==
+                     std::optional<std::uint64_t>(txn_id);
+        }));
+  }
+
+  // --- The oracle's contract on the union of the shards. ---
+  std::vector<audit::ReopenedStore> keyed(shards);
+  for (std::size_t s = 0; s < shards; ++s) keyed[s].kv = &stores[s];
+  for (const std::string& key : shape.keyspace) {
+    keyed[service::KvService::shard_of(key, shards)].keys.push_back(key);
+  }
+  res.keys_checked = audit::check_reopened(model, keyed).size();
+  for (const Reopened& e : engines) {
+    res.auditor_checks += e.auditor->checks_performed();
+  }
+}
+
+}  // namespace
 
 bool parse_design_pin(const std::string& name, DesignPin& pin) {
-  if (name == "ccnvm") {
-    pin.kind = core::DesignKind::kCcNvm;
-  } else if (name == "ccnvm-nods") {
-    pin.kind = core::DesignKind::kCcNvmNoDs;
-  } else if (name == "phoenix") {
-    pin.kind = core::DesignKind::kPhoenix;
-  } else if (name == "triad") {
-    pin.kind = core::DesignKind::kTriadNvm;
-    pin.persist_level = 1;
-  } else if (name.rfind("triad-n", 0) == 0 && name.size() > 7) {
-    std::uint32_t level = 0;
-    for (std::size_t i = 7; i < name.size(); ++i) {
-      if (name[i] < '0' || name[i] > '9') return false;
-      level = level * 10 + static_cast<std::uint32_t>(name[i] - '0');
-    }
-    if (level == 0) return false;
-    pin.kind = core::DesignKind::kTriadNvm;
-    pin.persist_level = level;
-  } else {
+  const std::optional<core::DesignKind> kind =
+      core::parse_design(name, &pin.persist_level);
+  if (!kind || (*kind != core::DesignKind::kCcNvm &&
+                *kind != core::DesignKind::kCcNvmNoDs &&
+                *kind != core::DesignKind::kTriadNvm &&
+                *kind != core::DesignKind::kPhoenix)) {
     return false;
   }
+  pin.kind = *kind;
   return true;
 }
-
-namespace {
-/// Designs with the §4.2 drain protocol (the only ones kDrainPhase can
-/// kill inside).
-bool pin_is_cc(core::DesignKind kind) {
-  return kind == core::DesignKind::kCcNvmNoDs ||
-         kind == core::DesignKind::kCcNvm ||
-         kind == core::DesignKind::kCcNvmPlus;
-}
-}  // namespace
 
 Scenario derive_scenario(std::uint64_t sweep_seed, std::uint64_t index,
                          const DesignPin* pin) {
@@ -318,7 +617,9 @@ Scenario derive_scenario(std::uint64_t sweep_seed, std::uint64_t index,
     // default mix — only the design under test changes.
     sc.kind = pin->kind;
     sc.persist_level = pin->persist_level;
-    if (sc.kill == KillMode::kDrainPhase && !pin_is_cc(sc.kind)) {
+    if (sc.kill == KillMode::kDrainPhase &&
+        (sc.kind == core::DesignKind::kTriadNvm ||
+         sc.kind == core::DesignKind::kPhoenix)) {
       // Barrier designs commit on every write-back — there is no drain
       // window to kill inside. Remap to a deterministic op boundary so
       // the pinned sweep keeps the same kill density.
@@ -342,281 +643,18 @@ std::string describe(const Scenario& sc) {
        " ops=" + std::to_string(sc.ops);
   switch (sc.kill) {
     case KillMode::kNone:
-      s += " kill=none";
-      break;
+      return s + " kill=none";
     case KillMode::kOpBoundary:
-      s += " kill=op-boundary@" + std::to_string(sc.kill_op);
-      break;
+      return s + " kill=op-boundary@" + std::to_string(sc.kill_op);
     case KillMode::kBeforeAck:
-      s += " kill=before-ack@" + std::to_string(sc.kill_op);
-      break;
+      return s + " kill=before-ack@" + std::to_string(sc.kill_op);
     case KillMode::kDrainPhase:
-      s += std::string(" kill=drain:") + phase_name(sc.phase) + "#" +
-           std::to_string(sc.target_drain);
-      break;
+      return s + " kill=drain:" + phase_name(sc.phase) + "#" +
+             std::to_string(sc.target_drain);
     case KillMode::kAttack:
-      s += " kill=none+attack";
-      break;
+      return s + " kill=none+attack";
   }
   return s;
-}
-
-int run_worker(const std::string& image_path, std::uint64_t sweep_seed,
-               std::uint64_t index, const DesignPin* pin) {
-  const Scenario sc = derive_scenario(sweep_seed, index, pin);
-
-  core::DesignConfig cfg =
-      audit::shaped_design_config(sc.trigger, kCrashdDaqEntries);
-  cfg.persist_level = sc.persist_level;
-  cfg.backend_factory = [&image_path](std::uint64_t capacity_bytes) {
-    // kNone: SIGKILL keeps the page cache, which is all this harness
-    // needs (see file comment in nvm/file_backend.h); kSync would model
-    // machine power cuts and msync on every batch.
-    return nvm::FileBackend::create(image_path, capacity_bytes,
-                                    nvm::FileBackend::SyncMode::kNone);
-  };
-  auto design = core::make_design(sc.kind, cfg);
-  auto* base = dynamic_cast<core::SecureNvmBase*>(design.get());
-  auto* cc = dynamic_cast<core::CcNvmDesign*>(design.get());
-  CCNVM_CHECK_MSG(base != nullptr, "crashd worker needs a SecureNvmBase");
-  CCNVM_CHECK_MSG(cc != nullptr || sc.kill != KillMode::kDrainPhase,
-                  "crashd drain-phase kill needs a CcNvmDesign");
-
-  // Unbuffered ack log: one write(2) per acknowledged operation. A
-  // buffered stream would lose acks sitting in user-space buffers at the
-  // kill and make the verifier under-count what the worker promised.
-  const int ack_fd =
-      ::open(ack_path(image_path).c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  CCNVM_CHECK_MSG(ack_fd >= 0, "crashd worker: cannot create ack log");
-  // The ack IS the durability promise the verifier holds the image to:
-  // anything acknowledged must survive the kill. CCNVM_ACK lets nvlint
-  // prove no unbarriered persistent write can precede an ack (check N1).
-  CCNVM_ACK const auto ack = [&](char c) {
-    CCNVM_CHECK(::write(ack_fd, &c, 1) == 1);
-  };
-
-  if (sc.kill == KillMode::kDrainPhase) {
-    cc->set_power_loss_hook([] { die_now(); });
-  }
-
-  store::SecureKvStore kv(*base, crashd_store_config());
-  Rng rng(sc.workload_seed);
-  std::uint64_t put_tag = 0;
-  bool armed = false;
-  for (std::size_t i = 0; i < sc.ops; ++i) {
-    if (sc.kill == KillMode::kDrainPhase && !armed &&
-        base->stats().drains >= sc.target_drain) {
-      cc->arm_drain_crash(sc.phase);
-      armed = true;
-    }
-    const KvOp op = generate_op(rng, sc.trigger, put_tag);
-    switch (op.kind) {
-      case OpKind::kPut:
-        CCNVM_CHECK_MSG(kv.put(op.key, op.value), "crashd worker: store full");
-        break;
-      case OpKind::kErase:
-        (void)kv.erase(op.key);
-        break;
-      case OpKind::kGet:
-        (void)kv.get(op.key);
-        break;
-    }
-    if (sc.kill == KillMode::kBeforeAck && i == sc.kill_op) die_now();
-    ack('A');
-    if (sc.kill == KillMode::kOpBoundary && i == sc.kill_op) die_now();
-    if (sc.trigger == core::DrainTrigger::kExplicit &&
-        (i + 1) % kCheckpointEvery == 0) {
-      kv.checkpoint();
-    }
-  }
-  // Clean shutdown (reached when no kill was drawn or an armed drain
-  // crash never fired): quiesce, then promise the full trace.
-  kv.checkpoint();
-  ack('C');
-  ::close(ack_fd);
-  return 0;
-}
-
-VerifyResult verify_scenario(const std::string& image_path,
-                             std::uint64_t sweep_seed, std::uint64_t index,
-                             const DesignPin* pin) {
-  VerifyResult res;
-  const Scenario sc = derive_scenario(sweep_seed, index, pin);
-  try {
-    // --- The ack log: what the worker promised before dying. ---
-    std::string acks;
-    {
-      std::FILE* f = std::fopen(ack_path(image_path).c_str(), "rb");
-      CCNVM_CHECK_MSG(f != nullptr, "crashd verify: missing ack log");
-      char buf[4096];
-      std::size_t n = 0;
-      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-        acks.append(buf, n);
-      }
-      std::fclose(f);
-    }
-    const bool clean = !acks.empty() && acks.back() == 'C';
-    const std::size_t n_acks = acks.size() - (clean ? 1 : 0);
-    CCNVM_CHECK_MSG(
-        acks.find_first_not_of('A') == (clean ? acks.size() - 1
-                                              : std::string::npos),
-        "crashd verify: malformed ack log");
-    CCNVM_CHECK_MSG(n_acks <= sc.ops, "crashd verify: more acks than ops");
-    if (clean) {
-      CCNVM_CHECK_MSG(n_acks == sc.ops,
-                      "crashd verify: clean exit with missing acks");
-    }
-    if (sc.kill == KillMode::kNone || sc.kill == KillMode::kAttack) {
-      CCNVM_CHECK_MSG(clean, "crashd verify: worker died in a no-kill run");
-    }
-    res.worker_was_killed = !clean;
-    res.acked_ops = n_acks;
-
-    // --- Replay the deterministic op stream into a model map. ---
-    std::map<std::string, std::string> model;
-    std::optional<std::string> in_flight_key;
-    std::optional<std::string> in_flight_before;
-    std::optional<std::string> in_flight_after;
-    {
-      Rng rng(sc.workload_seed);
-      std::uint64_t put_tag = 0;
-      for (std::size_t i = 0; i <= n_acks && i < sc.ops; ++i) {
-        const KvOp op = generate_op(rng, sc.trigger, put_tag);
-        if (i == n_acks) {
-          if (clean) break;
-          // The one operation the kill may have caught mid-application:
-          // old state or new state are both legal, a third is not.
-          const auto it = model.find(op.key);
-          in_flight_key = op.key;
-          in_flight_before = it == model.end()
-                                 ? std::nullopt
-                                 : std::optional<std::string>(it->second);
-          switch (op.kind) {
-            case OpKind::kPut:
-              in_flight_after = op.value;
-              break;
-            case OpKind::kErase:
-              in_flight_after = std::nullopt;
-              break;
-            case OpKind::kGet:
-              in_flight_after = in_flight_before;
-              break;
-          }
-          break;
-        }
-        switch (op.kind) {
-          case OpKind::kPut:
-            model[op.key] = op.value;
-            break;
-          case OpKind::kErase:
-            model.erase(op.key);
-            break;
-          case OpKind::kGet:
-            break;
-        }
-      }
-    }
-
-    // --- Reopen the image a dead process left behind. ---
-    auto backend = nvm::FileBackend::open(image_path);
-    CCNVM_CHECK_MSG(backend != nullptr,
-                    "crashd verify: image file missing or unreadable");
-    std::uint8_t regs[nvm::Backend::kRegisterCapacity];
-    const std::size_t reg_len = backend->load_registers(regs, sizeof(regs));
-    core::TcbRegisters tcb;
-    CCNVM_CHECK_MSG(core::decode_tcb(regs, reg_len, tcb),
-                    "crashd verify: image carries no valid TCB register blob");
-    nvm::NvmImage image(std::move(backend));
-
-    core::DesignConfig verify_cfg =
-        audit::shaped_design_config(sc.trigger, kCrashdDaqEntries);
-    verify_cfg.persist_level = sc.persist_level;
-    auto design = core::make_design(sc.kind, verify_cfg);
-    auto* base = dynamic_cast<core::SecureNvmBase*>(design.get());
-    CCNVM_CHECK(base != nullptr);
-    audit::InvariantAuditor auditor(
-        audit::InvariantAuditor::Options{.verify_image = true});
-    auditor.attach(*base);
-
-    if (sc.kill == KillMode::kAttack) {
-      // §4.4 attack location: flip one bit in a populated data line of
-      // the (cleanly quiesced) image; recovery must both detect and
-      // pinpoint it.
-      std::vector<Addr> candidates;
-      image.for_each_line([&](Addr addr, const Line&) {
-        if (addr < base->layout().data_capacity()) candidates.push_back(addr);
-      });
-      std::sort(candidates.begin(), candidates.end());
-      CCNVM_CHECK_MSG(!candidates.empty(),
-                      "crashd verify: attack scenario found no data lines");
-      Rng attack_rng(derive_seed(sweep_seed, index, 0xa77acc));
-      const Addr victim = candidates[attack_rng.below(candidates.size())];
-      Line line = image.read_line(victim);
-      line[attack_rng.below(kLineSize)] ^=
-          static_cast<std::uint8_t>(1u << attack_rng.below(8));
-      image.restore_line(victim, line);
-
-      base->restore_from_power_down(std::move(image), tcb);
-      const core::RecoveryReport report = design->recover();
-      CCNVM_CHECK_MSG(report.attack_detected,
-                      "crashd verify: corrupted data line not detected");
-      CCNVM_CHECK_MSG(report.attack_located,
-                      "crashd verify: corrupted data line not located");
-      CCNVM_CHECK_MSG(std::find(report.tampered_blocks.begin(),
-                                report.tampered_blocks.end(),
-                                victim) != report.tampered_blocks.end(),
-                      "crashd verify: located the wrong line");
-      res.attack_checked = true;
-      res.auditor_checks = auditor.checks_performed();
-      res.ok = true;
-      return res;
-    }
-
-    // --- Crash-consistency contract on the reopened image. ---
-    base->restore_from_power_down(std::move(image), tcb);
-    const core::RecoveryReport report = design->recover();
-    CCNVM_CHECK_MSG(report.clean && report.metadata_recovered,
-                    "crashd verify: recovery of the killed image not clean");
-
-    store::SecureKvStore kv =
-        store::SecureKvStore::open(*base, crashd_store_config());
-    std::uint64_t live = 0;
-    for (std::size_t i = 0; i < kKeys; ++i) {
-      const std::string key = "cd-" + std::to_string(i);
-      const std::optional<std::string> got = kv.get(key);
-      if (in_flight_key && *in_flight_key == key) {
-        CCNVM_CHECK_MSG(got == in_flight_before || got == in_flight_after,
-                        "crashd verify: in-flight op left a third state");
-      } else if (const auto it = model.find(key); it != model.end()) {
-        CCNVM_CHECK_MSG(got.has_value() && *got == it->second,
-                        "crashd verify: acknowledged operation lost");
-      } else {
-        CCNVM_CHECK_MSG(!got.has_value(),
-                        "crashd verify: erased/unwritten key reappeared");
-      }
-      if (got.has_value()) ++live;
-      ++res.keys_checked;
-    }
-    CCNVM_CHECK_MSG(kv.size() == live,
-                    "crashd verify: store holds spurious entries");
-    res.auditor_checks = auditor.checks_performed();
-    res.ok = true;
-  } catch (const std::exception& e) {
-    res.ok = false;
-    res.message = e.what();
-  }
-  return res;
-}
-
-store::StoreConfig service_store_config() {
-  // Single store-shard per engine: the service supplies the sharding.
-  // Geometry fits the worst case (kServiceMaxThreads * kServiceKeysPerThread
-  // keys of <=140 bytes all routing to one engine) with heap churn slack.
-  store::StoreConfig cfg;
-  cfg.shards = 1;
-  cfg.buckets_per_shard = 64;
-  cfg.heap_lines_per_shard = 192;
-  return cfg;
 }
 
 ServiceScenario derive_service_scenario(std::uint64_t sweep_seed,
@@ -663,263 +701,13 @@ std::string describe(const ServiceScenario& sc) {
                   " gap=" + std::to_string(sc.max_delay_us) + "us";
   switch (sc.kill) {
     case ServiceKill::kNone:
-      s += " kill=none";
-      break;
+      return s + " kill=none";
     case ServiceKill::kMidBatch:
-      s += " kill=mid-batch@" + std::to_string(sc.kill_target);
-      break;
+      return s + " kill=mid-batch@" + std::to_string(sc.kill_target);
     case ServiceKill::kAfterBarrier:
-      s += " kill=after-barrier@" + std::to_string(sc.kill_target);
-      break;
+      return s + " kill=after-barrier@" + std::to_string(sc.kill_target);
   }
   return s;
-}
-
-int run_service_worker(const std::string& image_path,
-                       std::uint64_t sweep_seed, std::uint64_t index) {
-  const ServiceScenario sc = derive_service_scenario(sweep_seed, index);
-  // Kill scenarios run one drain worker so the SIGKILL (raised from that
-  // worker's own safe-point hook) can never catch another engine between
-  // retiring two halves of a line write.
-  CCNVM_CHECK_MSG(sc.kill == ServiceKill::kNone || sc.shards == 1,
-                  "crashd service: kill scenarios must be single-shard");
-
-  // Declared before the service so the hooks capturing them outlive the
-  // drain workers.
-  std::atomic<std::uint64_t> applied{0};
-  std::atomic<std::uint64_t> barriers{0};
-
-  service::ServiceConfig cfg = service_scenario_config(sc);
-  cfg.backend_factory = [&image_path](std::size_t shard,
-                                      std::uint64_t capacity_bytes) {
-    // kNone for the same reason as run_worker: SIGKILL keeps the page
-    // cache, which is the crash model this harness relies on.
-    return nvm::FileBackend::create(service_image_path(image_path, shard),
-                                    capacity_bytes,
-                                    nvm::FileBackend::SyncMode::kNone);
-  };
-  if (sc.kill == ServiceKill::kMidBatch) {
-    cfg.after_apply_hook = [&applied, target = sc.kill_target] {
-      if (applied.fetch_add(1) + 1 == target) die_now();
-    };
-  } else if (sc.kill == ServiceKill::kAfterBarrier) {
-    cfg.after_barrier_hook = [&barriers, target = sc.kill_target] {
-      if (barriers.fetch_add(1) + 1 == target) die_now();
-    };
-  }
-
-  // One unbuffered ack log per client thread, all created before any
-  // traffic so the verifier finds every log even after an instant kill.
-  std::vector<int> ack_fds(sc.threads, -1);
-  for (std::size_t t = 0; t < sc.threads; ++t) {
-    ack_fds[t] = ::open(service_ack_path(image_path, t).c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    CCNVM_CHECK_MSG(ack_fds[t] >= 0,
-                    "crashd service worker: cannot create ack log");
-  }
-
-  service::KvService service(cfg);
-
-  std::vector<std::thread> clients;
-  clients.reserve(sc.threads);
-  for (std::size_t t = 0; t < sc.threads; ++t) {
-    clients.emplace_back([&service, &sc, t, fd = ack_fds[t]] {
-      // The service's promise completion already happens after the
-      // barrier (KvService's ack-after-barrier contract); this side-
-      // channel byte re-promises it to the out-of-process verifier.
-      CCNVM_ACK const auto ack = [fd](char c) {
-        CCNVM_CHECK(::write(fd, &c, 1) == 1);
-      };
-      Rng rng(derive_seed(sc.workload_seed, t));
-      std::uint64_t put_tag = 0;
-      for (std::size_t i = 0; i < sc.ops_per_thread; ++i) {
-        const KvOp op = generate_service_op(rng, t, sc.trigger, put_tag);
-        switch (op.kind) {
-          case OpKind::kPut:
-            CCNVM_CHECK_MSG(service.put(op.key, op.value).ok,
-                            "crashd service worker: store full");
-            break;
-          case OpKind::kErase:
-            (void)service.erase(op.key);
-            break;
-          case OpKind::kGet:
-            (void)service.get(op.key);
-            break;
-        }
-        ack('A');
-      }
-      ack('C');
-    });
-  }
-  for (std::thread& c : clients) c.join();
-  // Reached when no kill was drawn or the target never fired: quiesce.
-  service.shutdown();
-  for (const int fd : ack_fds) ::close(fd);
-  return 0;
-}
-
-VerifyResult verify_service_scenario(const std::string& image_path,
-                                     std::uint64_t sweep_seed,
-                                     std::uint64_t index) {
-  VerifyResult res;
-  const ServiceScenario sc = derive_service_scenario(sweep_seed, index);
-  try {
-    // --- Per-thread ack logs: what each client was promised. ---
-    std::vector<std::size_t> n_acks(sc.threads, 0);
-    std::vector<bool> clean(sc.threads, false);
-    bool all_clean = true;
-    for (std::size_t t = 0; t < sc.threads; ++t) {
-      std::string acks;
-      std::FILE* f =
-          std::fopen(service_ack_path(image_path, t).c_str(), "rb");
-      CCNVM_CHECK_MSG(f != nullptr, "crashd service verify: missing ack log");
-      char buf[4096];
-      std::size_t n = 0;
-      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-        acks.append(buf, n);
-      }
-      std::fclose(f);
-      clean[t] = !acks.empty() && acks.back() == 'C';
-      n_acks[t] = acks.size() - (clean[t] ? 1 : 0);
-      CCNVM_CHECK_MSG(acks.find_first_not_of('A') ==
-                          (clean[t] ? acks.size() - 1 : std::string::npos),
-                      "crashd service verify: malformed ack log");
-      CCNVM_CHECK_MSG(n_acks[t] <= sc.ops_per_thread,
-                      "crashd service verify: more acks than ops");
-      if (clean[t]) {
-        CCNVM_CHECK_MSG(n_acks[t] == sc.ops_per_thread,
-                        "crashd service verify: clean thread missing acks");
-      }
-      all_clean = all_clean && clean[t];
-      res.acked_ops += n_acks[t];
-    }
-    if (sc.kill == ServiceKill::kNone) {
-      CCNVM_CHECK_MSG(all_clean,
-                      "crashd service verify: worker died in a no-kill run");
-    }
-    res.worker_was_killed = !all_clean;
-
-    // --- Replay each thread's stream (disjoint key namespaces, and a
-    // client submits op i+1 only after op i's ack, so at most ONE
-    // operation per thread is in flight at the kill). ---
-    std::map<std::string, std::string> model;
-    struct InFlight {
-      std::optional<std::string> before;
-      std::optional<std::string> after;
-    };
-    std::map<std::string, InFlight> in_flight;
-    for (std::size_t t = 0; t < sc.threads; ++t) {
-      Rng rng(derive_seed(sc.workload_seed, t));
-      std::uint64_t put_tag = 0;
-      for (std::size_t i = 0; i <= n_acks[t] && i < sc.ops_per_thread; ++i) {
-        const KvOp op = generate_service_op(rng, t, sc.trigger, put_tag);
-        if (i == n_acks[t]) {
-          if (clean[t]) break;
-          InFlight fl;
-          const auto it = model.find(op.key);
-          fl.before = it == model.end()
-                          ? std::nullopt
-                          : std::optional<std::string>(it->second);
-          switch (op.kind) {
-            case OpKind::kPut:
-              fl.after = op.value;
-              break;
-            case OpKind::kErase:
-              fl.after = std::nullopt;
-              break;
-            case OpKind::kGet:
-              fl.after = fl.before;
-              break;
-          }
-          in_flight[op.key] = std::move(fl);
-          break;
-        }
-        switch (op.kind) {
-          case OpKind::kPut:
-            model[op.key] = op.value;
-            break;
-          case OpKind::kErase:
-            model.erase(op.key);
-            break;
-          case OpKind::kGet:
-            break;
-        }
-      }
-    }
-
-    // --- Reopen every shard engine and hold the union to the model. ---
-    const service::ServiceConfig scfg = service_scenario_config(sc);
-    for (std::size_t s = 0; s < sc.shards; ++s) {
-      auto backend = nvm::FileBackend::open(service_image_path(image_path, s));
-      CCNVM_CHECK_MSG(backend != nullptr,
-                      "crashd service verify: shard image missing");
-      std::uint8_t regs[nvm::Backend::kRegisterCapacity];
-      const std::size_t reg_len = backend->load_registers(regs, sizeof(regs));
-      core::TcbRegisters tcb;
-      CCNVM_CHECK_MSG(core::decode_tcb(regs, reg_len, tcb),
-                      "crashd service verify: shard has no valid TCB blob");
-      nvm::NvmImage image(std::move(backend));
-
-      auto design = core::make_design(
-          sc.kind, service::KvService::engine_design_config(scfg, s));
-      auto* base = dynamic_cast<core::SecureNvmBase*>(design.get());
-      CCNVM_CHECK(base != nullptr);
-      audit::InvariantAuditor auditor(
-          audit::InvariantAuditor::Options{.verify_image = true});
-      auditor.attach(*base);
-
-      base->restore_from_power_down(std::move(image), tcb);
-      const core::RecoveryReport report = design->recover();
-      CCNVM_CHECK_MSG(report.clean && report.metadata_recovered,
-                      "crashd service verify: shard recovery not clean");
-
-      store::SecureKvStore kv =
-          store::SecureKvStore::open(*base, scfg.store);
-      std::uint64_t live = 0;
-      for (std::size_t t = 0; t < sc.threads; ++t) {
-        for (std::size_t k = 0; k < kServiceKeysPerThread; ++k) {
-          const std::string key =
-              "sv" + std::to_string(t) + "-" + std::to_string(k);
-          if (service::KvService::shard_of(key, sc.shards) != s) continue;
-          const std::optional<std::string> got = kv.get(key);
-          if (const auto fl = in_flight.find(key); fl != in_flight.end()) {
-            CCNVM_CHECK_MSG(
-                got == fl->second.before || got == fl->second.after,
-                "crashd service verify: in-flight op left a third state");
-          } else if (const auto it = model.find(key); it != model.end()) {
-            CCNVM_CHECK_MSG(
-                got.has_value() && *got == it->second,
-                "crashd service verify: acknowledged operation lost");
-          } else {
-            CCNVM_CHECK_MSG(
-                !got.has_value(),
-                "crashd service verify: erased/unwritten key reappeared");
-          }
-          if (got.has_value()) ++live;
-          ++res.keys_checked;
-        }
-      }
-      CCNVM_CHECK_MSG(kv.size() == live,
-                      "crashd service verify: shard holds spurious entries");
-      res.auditor_checks += auditor.checks_performed();
-    }
-    res.ok = true;
-  } catch (const std::exception& e) {
-    res.ok = false;
-    res.message = e.what();
-  }
-  return res;
-}
-
-store::StoreConfig txn_store_config() {
-  // The service family's per-engine geometry plus a txn journal. Worst
-  // case per engine: every thread's keys routed to it (4 * 8 keys of
-  // <100 bytes = 64 value lines live) plus one prepared txn's staged
-  // copies (8 ops * 2 lines) and in-batch churn — comfortably inside
-  // 192 heap lines.
-  store::StoreConfig cfg = service_store_config();
-  cfg.txn_ops_capacity = 8;
-  return cfg;
 }
 
 TxnScenario derive_txn_scenario(std::uint64_t sweep_seed,
@@ -958,305 +746,42 @@ std::string describe(const TxnScenario& sc) {
                   " actions/thread=" + std::to_string(sc.actions_per_thread) +
                   " batch=" + std::to_string(sc.max_batch) +
                   " gap=" + std::to_string(sc.max_delay_us) + "us";
-  switch (sc.kill) {
-    case TxnKill::kNone:
-      s += " kill=none";
-      break;
-    case TxnKill::kAtWave:
-      s += " kill=wave" + std::to_string(sc.kill_wave) + "@" +
-           std::to_string(sc.kill_target);
-      break;
-  }
-  return s;
+  if (sc.kill == TxnKill::kNone) return s + " kill=none";
+  return s + " kill=wave" + std::to_string(sc.kill_wave) + "@" +
+         std::to_string(sc.kill_target);
 }
 
-int run_txn_worker(const std::string& image_path, std::uint64_t sweep_seed,
-                   std::uint64_t index) {
-  const TxnScenario sc = derive_txn_scenario(sweep_seed, index);
-
-  std::atomic<std::uint64_t> wave_events{0};
-  service::ServiceConfig cfg = txn_scenario_config(sc);
-  cfg.backend_factory = [&image_path](std::size_t shard,
-                                      std::uint64_t capacity_bytes) {
-    return nvm::FileBackend::create(service_image_path(image_path, shard),
-                                    capacity_bytes,
-                                    nvm::FileBackend::SyncMode::kNone);
-  };
-  if (sc.kill == TxnKill::kAtWave) {
-    cfg.txn_wave_hook = [&wave_events, wave = sc.kill_wave,
-                         target = sc.kill_target](int w,
-                                                  std::size_t participants) {
-      // Both-shard commits only: their admission locks park every drain
-      // worker by the time the hook runs on the client thread, so the
-      // SIGKILL raised here cannot catch a half-written line. A
-      // single-shard txn's waves leave the other worker live — skip.
-      if (w != wave || participants < kTxnShards) return;
-      if (wave_events.fetch_add(1) + 1 == target) die_now();
-    };
-  }
-
-  std::vector<int> ack_fds(sc.threads, -1);
-  for (std::size_t t = 0; t < sc.threads; ++t) {
-    ack_fds[t] = ::open(service_ack_path(image_path, t).c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    CCNVM_CHECK_MSG(ack_fds[t] >= 0,
-                    "crashd txn worker: cannot create ack log");
-  }
-
-  service::KvService service(cfg);
-
-  std::vector<std::thread> clients;
-  clients.reserve(sc.threads);
-  for (std::size_t t = 0; t < sc.threads; ++t) {
-    clients.emplace_back([&service, &sc, t, fd = ack_fds[t]] {
-      // 'A' promises a single op, 'T' a whole transaction — submit_txn
-      // returns only after every touched shard's barrier, so the byte
-      // re-promises the all-or-nothing commit to the verifier.
-      CCNVM_ACK const auto ack = [fd](char c) {
-        CCNVM_CHECK(::write(fd, &c, 1) == 1);
-      };
-      Rng rng(derive_seed(sc.workload_seed, t));
-      std::uint64_t put_tag = 0;
-      for (std::size_t i = 0; i < sc.actions_per_thread; ++i) {
-        const TxnAction action = generate_txn_action(rng, t, put_tag);
-        if (!action.is_txn) {
-          const KvOp& op = action.ops.front();
-          switch (op.kind) {
-            case OpKind::kPut:
-              CCNVM_CHECK_MSG(service.put(op.key, op.value).ok,
-                              "crashd txn worker: store full");
-              break;
-            case OpKind::kErase:
-              (void)service.erase(op.key);
-              break;
-            case OpKind::kGet:
-              (void)service.get(op.key);
-              break;
-          }
-          ack('A');
-          continue;
-        }
-        std::vector<service::TxnOp> ops;
-        ops.reserve(action.ops.size());
-        for (const KvOp& op : action.ops) {
-          service::TxnOp sub;
-          sub.op = op.kind == OpKind::kPut     ? service::OpType::kPut
-                   : op.kind == OpKind::kErase ? service::OpType::kErase
-                                               : service::OpType::kGet;
-          sub.key = op.key;
-          sub.value = op.value;
-          ops.push_back(std::move(sub));
-        }
-        CCNVM_CHECK_MSG(service.submit_txn(ops).committed,
-                        "crashd txn worker: txn aborted");
-        ack('T');
-      }
-      ack('C');
-    });
-  }
-  for (std::thread& c : clients) c.join();
-  // Reached when no kill was drawn or the target never fired: quiesce.
-  service.shutdown();
-  for (const int fd : ack_fds) ::close(fd);
-  return 0;
+std::string describe(Family family, std::uint64_t sweep_seed,
+                     std::uint64_t index, const DesignPin* pin) {
+  return shape_of(family, sweep_seed, index, pin).description;
 }
 
-VerifyResult verify_txn_scenario(const std::string& image_path,
-                                 std::uint64_t sweep_seed,
-                                 std::uint64_t index) {
+int run_worker(Family family, const std::string& image_path,
+               std::uint64_t sweep_seed, std::uint64_t index,
+               const DesignPin* pin) {
+  switch (family) {
+    case Family::kService: {
+      const ServiceScenario sc = derive_service_scenario(sweep_seed, index);
+      return run_service_worker(sc, shape_of(sc), image_path);
+    }
+    case Family::kTxn: {
+      const TxnScenario sc = derive_txn_scenario(sweep_seed, index);
+      return run_txn_worker(sc, shape_of(sc), image_path);
+    }
+    case Family::kSingle:
+      break;
+  }
+  const Scenario sc = derive_scenario(sweep_seed, index, pin);
+  return run_single_worker(sc, shape_of(sc), image_path);
+}
+
+VerifyResult verify(Family family, const std::string& image_path,
+                    std::uint64_t sweep_seed, std::uint64_t index,
+                    const DesignPin* pin) {
   VerifyResult res;
-  const TxnScenario sc = derive_txn_scenario(sweep_seed, index);
   try {
-    // --- Per-thread ack logs: 'A' single, 'T' txn, trailing 'C'. ---
-    std::vector<std::string> acks(sc.threads);
-    std::vector<std::size_t> n_acks(sc.threads, 0);
-    std::vector<bool> clean(sc.threads, false);
-    bool all_clean = true;
-    for (std::size_t t = 0; t < sc.threads; ++t) {
-      std::FILE* f = std::fopen(service_ack_path(image_path, t).c_str(), "rb");
-      CCNVM_CHECK_MSG(f != nullptr, "crashd txn verify: missing ack log");
-      char buf[4096];
-      std::size_t n = 0;
-      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-        acks[t].append(buf, n);
-      }
-      std::fclose(f);
-      clean[t] = !acks[t].empty() && acks[t].back() == 'C';
-      n_acks[t] = acks[t].size() - (clean[t] ? 1 : 0);
-      CCNVM_CHECK_MSG(acks[t].find_first_not_of("AT") ==
-                          (clean[t] ? acks[t].size() - 1 : std::string::npos),
-                      "crashd txn verify: malformed ack log");
-      CCNVM_CHECK_MSG(n_acks[t] <= sc.actions_per_thread,
-                      "crashd txn verify: more acks than actions");
-      if (clean[t]) {
-        CCNVM_CHECK_MSG(n_acks[t] == sc.actions_per_thread,
-                        "crashd txn verify: clean thread missing acks");
-      }
-      all_clean = all_clean && clean[t];
-      res.acked_ops += n_acks[t];
-    }
-    if (sc.kill == TxnKill::kNone) {
-      CCNVM_CHECK_MSG(all_clean,
-                      "crashd txn verify: worker died in a no-kill run");
-    }
-    res.worker_was_killed = !all_clean;
-
-    // --- Replay each thread's acked prefix (disjoint key namespaces;
-    // a client submits action i+1 only after action i's ack, so at most
-    // ONE unit — single op or whole txn — per thread is in flight). ---
-    std::map<std::string, std::string> model;
-    // The in-flight unit's buffered after-state per key (last sub-op
-    // wins, nullopt = erase; reads contribute nothing).
-    std::vector<std::map<std::string, std::optional<std::string>>> in_flight;
-    for (std::size_t t = 0; t < sc.threads; ++t) {
-      Rng rng(derive_seed(sc.workload_seed, t));
-      std::uint64_t put_tag = 0;
-      for (std::size_t i = 0; i <= n_acks[t] && i < sc.actions_per_thread;
-           ++i) {
-        const TxnAction action = generate_txn_action(rng, t, put_tag);
-        if (i == n_acks[t]) {
-          if (clean[t]) break;
-          std::map<std::string, std::optional<std::string>> effect;
-          for (const KvOp& op : action.ops) {
-            if (op.kind == OpKind::kGet) continue;
-            effect[op.key] = op.kind == OpKind::kPut
-                                 ? std::optional<std::string>(op.value)
-                                 : std::nullopt;
-          }
-          if (!effect.empty()) in_flight.push_back(std::move(effect));
-          break;
-        }
-        CCNVM_CHECK_MSG(
-            acks[t][i] == (action.is_txn ? 'T' : 'A'),
-            "crashd txn verify: ack log kind disagrees with the stream");
-        for (const KvOp& op : action.ops) {
-          switch (op.kind) {
-            case OpKind::kPut:
-              model[op.key] = op.value;
-              break;
-            case OpKind::kErase:
-              model.erase(op.key);
-              break;
-            case OpKind::kGet:
-              break;
-          }
-        }
-      }
-    }
-
-    // --- Reopen shard 0 first — the coordinator of every cross-shard
-    // txn (lowest participant), so its decision line is available when
-    // shard 1's journal resolves — then shard 1 with the resolver. ---
-    const service::ServiceConfig scfg = txn_scenario_config(sc);
-    std::vector<std::unique_ptr<core::SecureNvmDesign>> designs;
-    std::vector<core::SecureNvmBase*> bases;
-    std::vector<std::unique_ptr<audit::InvariantAuditor>> auditors;
-    for (std::size_t s = 0; s < kTxnShards; ++s) {
-      auto backend = nvm::FileBackend::open(service_image_path(image_path, s));
-      CCNVM_CHECK_MSG(backend != nullptr,
-                      "crashd txn verify: shard image missing");
-      std::uint8_t regs[nvm::Backend::kRegisterCapacity];
-      const std::size_t reg_len = backend->load_registers(regs, sizeof(regs));
-      core::TcbRegisters tcb;
-      CCNVM_CHECK_MSG(core::decode_tcb(regs, reg_len, tcb),
-                      "crashd txn verify: shard has no valid TCB blob");
-      nvm::NvmImage image(std::move(backend));
-
-      designs.push_back(core::make_design(
-          sc.kind, service::KvService::engine_design_config(scfg, s)));
-      auto* base = dynamic_cast<core::SecureNvmBase*>(designs.back().get());
-      CCNVM_CHECK(base != nullptr);
-      bases.push_back(base);
-      auditors.push_back(std::make_unique<audit::InvariantAuditor>(
-          audit::InvariantAuditor::Options{.verify_image = true}));
-      auditors.back()->attach(*base);
-
-      base->restore_from_power_down(std::move(image), tcb);
-      const core::RecoveryReport report = designs.back()->recover();
-      CCNVM_CHECK_MSG(report.clean && report.metadata_recovered,
-                      "crashd txn verify: shard recovery not clean");
-    }
-    std::vector<store::SecureKvStore> stores;
-    stores.reserve(kTxnShards);
-    stores.push_back(store::SecureKvStore::open(*bases[0], scfg.store));
-    stores.push_back(store::SecureKvStore::open(
-        *bases[1], scfg.store,
-        [&stores](std::uint64_t txn_id, std::uint32_t coordinator) {
-          // coordinator 1 = a self-coordinated txn whose own decision
-          // line already failed to answer — undecided, presumed abort.
-          return coordinator == 0 &&
-                 stores[0].last_txn_decision() ==
-                     std::optional<std::uint64_t>(txn_id);
-        }));
-
-    // --- The txn contract on the union of both shards. ---
-    // First resolve every in-flight unit all-or-nothing; applied units
-    // join the model, rolled-back ones leave it untouched. Units are
-    // key-disjoint (per-thread namespaces), so resolution order is
-    // irrelevant.
-    const auto get_at = [&](const std::string& key) {
-      const std::size_t s = service::KvService::shard_of(key, kTxnShards);
-      return stores[s].get(key);
-    };
-    for (const auto& effect : in_flight) {
-      std::size_t applied = 0;
-      std::size_t rolled_back = 0;
-      for (const auto& [key, after] : effect) {
-        const auto it = model.find(key);
-        const std::optional<std::string> before =
-            it == model.end() ? std::nullopt
-                              : std::optional<std::string>(it->second);
-        if (after == before) continue;  // e.g. erase of an absent key
-        const std::optional<std::string> got = get_at(key);
-        if (got == after) {
-          ++applied;
-        } else if (got == before) {
-          ++rolled_back;
-        } else {
-          CCNVM_CHECK_MSG(false,
-                          "crashd txn verify: in-flight unit left a third "
-                          "state");
-        }
-      }
-      CCNVM_CHECK_MSG(
-          applied == 0 || rolled_back == 0,
-          "crashd txn verify: torn in-flight transaction after the kill");
-      if (applied > 0) {
-        for (const auto& [key, after] : effect) {
-          if (after) {
-            model[key] = *after;
-          } else {
-            model.erase(key);
-          }
-        }
-      }
-    }
-    // Every acked action (resolved in-flight units included) must read
-    // back exactly, and neither shard may hold spurious entries.
-    std::vector<std::uint64_t> live(kTxnShards, 0);
-    for (std::size_t t = 0; t < sc.threads; ++t) {
-      for (std::size_t k = 0; k < kTxnKeysPerThread; ++k) {
-        const std::string key = txn_key(t, k);
-        const std::optional<std::string> got = get_at(key);
-        if (const auto it = model.find(key); it != model.end()) {
-          CCNVM_CHECK_MSG(got.has_value() && *got == it->second,
-                          "crashd txn verify: acknowledged effect lost");
-        } else {
-          CCNVM_CHECK_MSG(
-              !got.has_value(),
-              "crashd txn verify: erased/unwritten key reappeared");
-        }
-        if (got.has_value()) {
-          ++live[service::KvService::shard_of(key, kTxnShards)];
-        }
-        ++res.keys_checked;
-      }
-    }
-    for (std::size_t s = 0; s < kTxnShards; ++s) {
-      CCNVM_CHECK_MSG(stores[s].size() == live[s],
-                      "crashd txn verify: shard holds spurious entries");
-      res.auditor_checks += auditors[s]->checks_performed();
-    }
+    verify_shape(shape_of(family, sweep_seed, index, pin), image_path,
+                 sweep_seed, index, res);
     res.ok = true;
   } catch (const std::exception& e) {
     res.ok = false;
@@ -1265,27 +790,27 @@ VerifyResult verify_txn_scenario(const std::string& image_path,
   return res;
 }
 
+std::string parse_sweep_pin(const SweepConfig& config, DesignPin& pin) {
+  if (config.design.empty()) return "";
+  if (config.family != Family::kSingle) {
+    return "--design pins are single-threaded-family only; drop "
+           "--service/--txn";
+  }
+  if (!parse_design_pin(config.design, pin)) {
+    return "unknown or unsupported design pin '" + config.design + "'";
+  }
+  return "";
+}
+
 SweepResult run_sweep(const SweepConfig& config) {
   DesignPin pin_storage;
-  const DesignPin* pin = nullptr;
-  if (!config.design.empty()) {
+  if (std::string why = parse_sweep_pin(config, pin_storage); !why.empty()) {
     SweepResult invalid;
-    invalid.scenarios = 0;
-    if (config.service || config.txn) {
-      invalid.failures.push_back(
-          "--design pins are single-threaded-family only; drop "
-          "--service/--txn");
-      return invalid;
-    }
-    if (!parse_design_pin(config.design, pin_storage)) {
-      invalid.failures.push_back("unknown or unsupported design pin '" +
-                                 config.design + "'");
-      return invalid;
-    }
-    pin = &pin_storage;
+    invalid.failures.push_back(std::move(why));
+    return invalid;
   }
-  std::string worker_exe =
-      config.worker_exe.empty() ? "/proc/self/exe" : config.worker_exe;
+  const DesignPin* pin = config.design.empty() ? nullptr : &pin_storage;
+  const std::string worker_exe = "/proc/self/exe";
   std::string dir = config.work_dir;
   bool made_dir = false;
   if (dir.empty()) {
@@ -1305,34 +830,31 @@ SweepResult run_sweep(const SweepConfig& config) {
   struct PerScenario {
     bool killed = false;
     bool clean = false;
+    bool attack = false;
+    std::string description;
     VerifyResult verify;
     std::string spawn_error;
   };
 
   // One throw-scope for the whole sweep: auditor/contract violations in
-  // verify_scenario surface as CheckFailure, are caught there, and fold
-  // into per-index failure strings — deterministic for any job count.
+  // verify surface as CheckFailure, are caught there, and fold into
+  // per-index failure strings — deterministic for any job count.
   CheckThrowScope throw_scope;
   const std::vector<PerScenario> results = parallel_map<PerScenario>(
       static_cast<std::size_t>(config.scenarios), config.jobs,
       [&](std::size_t i) {
+        const Shape shape = shape_of(config.family, config.seed, i, pin);
         PerScenario out;
+        out.attack = shape.attack;
+        out.description = shape.description;
         const std::string image = dir + "/img-" + std::to_string(i);
         std::vector<std::string> args = {
-            worker_exe,
-            "crashd",
-            "worker",
-            "--image=" + image,
+            worker_exe, "crashd", "worker", "--image=" + image,
             "--seed=" + std::to_string(config.seed),
-            "--index=" + std::to_string(i),
-        };
-        if (config.txn) {
-          args.insert(args.begin() + 3, "--txn");
-        } else if (config.service) {
-          args.insert(args.begin() + 3, "--service");
-        } else if (pin != nullptr) {
-          args.insert(args.begin() + 3, "--design=" + config.design);
-        }
+            "--index=" + std::to_string(i)};
+        if (config.family == Family::kService) args.emplace_back("--service");
+        if (config.family == Family::kTxn) args.emplace_back("--txn");
+        if (pin != nullptr) args.push_back("--design=" + config.design);
         std::vector<char*> argv;
         argv.reserve(args.size() + 1);
         for (std::string& a : args) argv.push_back(a.data());
@@ -1364,26 +886,17 @@ SweepResult run_sweep(const SweepConfig& config) {
               std::to_string(status) + ")";
           return out;
         }
-        out.verify =
-            config.txn ? verify_txn_scenario(image, config.seed, i)
-            : config.service
-                ? verify_service_scenario(image, config.seed, i)
-                : verify_scenario(image, config.seed, i, pin);
+        out.verify = verify(config.family, image, config.seed, i, pin);
         if (out.verify.ok && out.verify.worker_was_killed != out.killed) {
           out.verify.ok = false;
           out.verify.message = "ack log disagrees with the wait status";
         }
         if (!config.keep_files) {
-          if (config.service || config.txn) {
-            for (std::size_t s = 0; s < kServiceMaxShards; ++s) {
-              std::remove(service_image_path(image, s).c_str());
-            }
-            for (std::size_t t = 0; t < kServiceMaxThreads; ++t) {
-              std::remove(service_ack_path(image, t).c_str());
-            }
-          } else {
-            std::remove(image.c_str());
-            std::remove(ack_path(image).c_str());
+          for (std::size_t s = 0; s < shape.engines.shards; ++s) {
+            std::remove(shard_path(shape, image, s).c_str());
+          }
+          for (std::size_t t = 0; t < shape.threads; ++t) {
+            std::remove(ack_path(shape, image, t).c_str());
           }
         }
         return out;
@@ -1393,16 +906,7 @@ SweepResult run_sweep(const SweepConfig& config) {
   sweep.scenarios = config.scenarios;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const PerScenario& r = results[i];
-    std::string desc;
-    if (config.txn) {
-      desc = describe(derive_txn_scenario(config.seed, i));
-    } else if (config.service) {
-      desc = describe(derive_service_scenario(config.seed, i));
-    } else {
-      const Scenario sc = derive_scenario(config.seed, i, pin);
-      if (sc.kill == KillMode::kAttack) ++sweep.attack_scenarios;
-      desc = describe(sc);
-    }
+    if (r.attack) ++sweep.attack_scenarios;
     if (r.killed) ++sweep.killed;
     if (r.clean) ++sweep.clean_exits;
     sweep.acked_ops += r.verify.acked_ops;
@@ -1411,7 +915,7 @@ SweepResult run_sweep(const SweepConfig& config) {
       const std::string& why =
           !r.spawn_error.empty() ? r.spawn_error : r.verify.message;
       sweep.failures.push_back("scenario " + std::to_string(i) + " [" +
-                               desc + "]: " + why);
+                               r.description + "]: " + why);
     }
   }
   if (made_dir && !config.keep_files) ::rmdir(dir.c_str());

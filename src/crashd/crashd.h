@@ -10,17 +10,23 @@
 // CcNvmDesign's power-loss hook, which fires at the exact armed point).
 // A *verifier* (fresh process or at least a fresh design) then reopens
 // the image file, restores the mirrored TCB registers, runs recovery
-// with the PR-1 invariant auditor attached, and checks:
+// with the invariant auditor attached, and checks:
 //
-//   * recovery is clean and every *acknowledged* operation (one byte in
-//     an unbuffered side-channel ack log, written only after the KV op
-//     returned) reads back exactly;
-//   * the single unacknowledged in-flight operation surfaces as its old
-//     or new state, never a third one;
-//   * zero auditor violations (I1-I8 on the crash state and the
-//     recovered state, including full image-vs-roots verification);
+//   * recovery is clean, with zero auditor violations (I1-I8 on the
+//     crash state and the recovered state, including full image-vs-roots
+//     verification);
+//   * the KV crash oracle (audit/kv_oracle.h) holds: every *acknowledged*
+//     unit (one byte in an unbuffered side-channel ack log, written only
+//     after the unit returned) reads back exactly, each client thread's
+//     at most one unacknowledged unit is all-or-nothing, and no store
+//     holds spurious entries;
 //   * on attack scenarios, a deliberately corrupted data line in the
 //     image is detected AND located per §4.4.
+//
+// Three scenario families share that machinery and differ only in their
+// Scenario, its derivation and the client body: single-threaded (one
+// SecureKvStore), service (KvService client threads) and txn (multi-key
+// transactions over a two-shard KvService).
 //
 // Why SIGKILL is honest here: stores into a MAP_SHARED mapping live in
 // the kernel page cache the moment they retire; SIGKILL cannot undo
@@ -42,9 +48,12 @@
 
 #include "core/design.h"
 #include "core/protocol_observer.h"
-#include "store/kv_store.h"
 
 namespace ccnvm::crashd {
+
+enum class Family { kSingle, kService, kTxn };
+
+// ---- Single-threaded family --------------------------------------------
 
 /// When (if at all) the worker raises SIGKILL on itself.
 enum class KillMode {
@@ -76,8 +85,8 @@ struct DesignPin {
   std::uint32_t persist_level = 1;  // Triad-NVM frontier
 };
 
-/// Parses "ccnvm", "ccnvm-nods", "triad", "triad-n<K>" (frontier K) or
-/// "phoenix" into a pin. Rejects (returns false) unknown names and the
+/// Parses a design name (core::parse_design: "triad-n<K>" takes K in
+/// 1..64) into a pin. Rejects (returns false) unknown names and the
 /// designs crashd cannot honestly verify out-of-process: wocc (recovery
 /// is supposed to fail), ccnvm-plus (its per-block update registers are
 /// process state, not mirrored into the backend), sc/osiris (no pinned
@@ -94,33 +103,7 @@ Scenario derive_scenario(std::uint64_t sweep_seed, std::uint64_t index,
 
 std::string describe(const Scenario& scenario);
 
-/// KV geometry of every crashd scenario (matches the crash fuzz engine).
-store::StoreConfig crashd_store_config();
-
-/// Runs the worker side against `image_path` (plus `image_path + ".ack"`
-/// for the ack log). Kill scenarios do not return — the process dies by
-/// SIGKILL at the scenario's point. Clean scenarios return 0.
-int run_worker(const std::string& image_path, std::uint64_t sweep_seed,
-               std::uint64_t index, const DesignPin* pin = nullptr);
-
-struct VerifyResult {
-  bool ok = false;
-  std::string message;       // on failure
-  bool worker_was_killed = false;
-  std::uint64_t acked_ops = 0;
-  std::uint64_t keys_checked = 0;
-  std::uint64_t auditor_checks = 0;
-  bool attack_checked = false;
-};
-
-/// Verifies the image a (possibly killed) worker left behind. Requires a
-/// common::CheckThrowScope in the caller (auditor violations and lost
-/// ops surface as CheckFailure and are converted into a failed result).
-VerifyResult verify_scenario(const std::string& image_path,
-                             std::uint64_t sweep_seed, std::uint64_t index,
-                             const DesignPin* pin = nullptr);
-
-// ---- Service scenario family -------------------------------------------
+// ---- Service family ----------------------------------------------------
 //
 // The multithreaded sibling of the family above: the worker process runs
 // a service::KvService (per-shard MPSC queues, group-commit drain
@@ -129,13 +112,8 @@ VerifyResult verify_scenario(const std::string& image_path,
 // applied-and-barriered but not yet acknowledged. Kills fire from the
 // drain worker's safe-point hooks (between complete store operations),
 // preserving the line-write-boundary kill discipline the file comment
-// above argues for. Each client thread owns an unbuffered ack log
-// (`image + ".ack.t<t>"`), each shard engine its own image
-// (`image + ".s<s>"`); the verifier reopens every shard, recovers it
-// under the auditor, and holds the union to the service's
-// ack-after-barrier contract: every acknowledged operation reads back
-// exactly, at most one unacknowledged in-flight operation per thread
-// surfaces as old or new state, and no shard holds spurious entries.
+// above argues for. The oracle then holds the union of the reopened
+// shards to the service's ack-after-barrier contract.
 
 /// When (if at all) the service worker dies. All kills fire at drain-
 /// worker safe points, with the client threads at arbitrary progress.
@@ -166,23 +144,7 @@ ServiceScenario derive_service_scenario(std::uint64_t sweep_seed,
 
 std::string describe(const ServiceScenario& scenario);
 
-/// Per-engine KV geometry of every service scenario (the service layers
-/// its own sharding on top, so the store itself stays single-shard).
-store::StoreConfig service_store_config();
-
-/// Runs the service worker side: shard images at `image_path + ".s<s>"`,
-/// per-thread ack logs at `image_path + ".ack.t<t>"`. Kill scenarios do
-/// not return. Clean scenarios return 0.
-int run_service_worker(const std::string& image_path,
-                       std::uint64_t sweep_seed, std::uint64_t index);
-
-/// Verifies every shard image a (possibly killed) service worker left
-/// behind. Same CheckThrowScope requirement as verify_scenario.
-VerifyResult verify_service_scenario(const std::string& image_path,
-                                     std::uint64_t sweep_seed,
-                                     std::uint64_t index);
-
-// ---- Txn scenario family -----------------------------------------------
+// ---- Txn family --------------------------------------------------------
 //
 // Kill-9 sweeps for the multi-key transaction protocol (see
 // KvService::submit_txn): client threads issue a mix of single ops and
@@ -193,17 +155,15 @@ VerifyResult verify_service_scenario(const std::string& image_path,
 // distributed commit can tear, and they are also legitimate kill points:
 // the committing txn holds BOTH shards' admission locks across its waves,
 // so when its wave hook fires on the client thread every drain worker is
-// parked on an empty queue — no line write can be caught halfway. (That
-// is why the hook only pulls the trigger on both-shard commits; a
-// single-shard txn's waves leave the other shard's worker live, the same
-// reason the service family above restricts kills to one shard.)
+// parked on an empty queue — no line write can be caught halfway. (So the
+// hook fires on both-shard commits only: a single-shard txn's waves leave
+// the other shard's worker live.)
 //
 // The verifier reopens shard 0 first — the coordinator of every
 // cross-shard txn (lowest participant) — then shard 1 with a TxnResolver
-// over shard 0's decision line, and holds the union to the txn contract:
-// every *acknowledged* transaction reads back in full, the at-most-one
-// unacknowledged in-flight unit per thread surfaces all-or-nothing
-// (never partially applied), and no shard holds spurious entries.
+// over shard 0's decision line. The oracle's unit is here a whole txn:
+// acknowledged txns read back in full, an unacknowledged one is never
+// partially applied.
 
 /// When (if at all) the txn worker dies. Always fires on the client
 /// thread driving a both-shard commit, at a wave boundary.
@@ -239,44 +199,58 @@ TxnScenario derive_txn_scenario(std::uint64_t sweep_seed,
 
 std::string describe(const TxnScenario& scenario);
 
-/// Per-engine KV geometry of every txn scenario: the service family's
-/// geometry plus a txn journal (txn_ops_capacity > 0).
-store::StoreConfig txn_store_config();
+// ---- Shared worker, verifier and sweep ---------------------------------
 
-/// Runs the txn worker side: shard images and per-thread ack logs use
-/// the same paths as the service family. Kill scenarios do not return.
-int run_txn_worker(const std::string& image_path, std::uint64_t sweep_seed,
-                   std::uint64_t index);
+/// One-line description of scenario (sweep_seed, index) of `family`.
+/// `pin` (single family only, see parse_design_pin) overrides the design.
+std::string describe(Family family, std::uint64_t sweep_seed,
+                     std::uint64_t index, const DesignPin* pin = nullptr);
 
-/// Verifies both shard images a (possibly killed) txn worker left
-/// behind. Same CheckThrowScope requirement as verify_scenario.
-VerifyResult verify_txn_scenario(const std::string& image_path,
-                                 std::uint64_t sweep_seed,
-                                 std::uint64_t index);
+/// Runs the worker side against `image_path`: the single family's image
+/// is `image_path` and its ack log `image_path + ".ack"`; the service
+/// families use `image_path + ".s<s>"` per shard and
+/// `image_path + ".ack.t<t>"` per client thread. Kill scenarios do not
+/// return — the process dies by SIGKILL at the scenario's point. Clean
+/// scenarios return 0.
+int run_worker(Family family, const std::string& image_path,
+               std::uint64_t sweep_seed, std::uint64_t index,
+               const DesignPin* pin = nullptr);
+
+struct VerifyResult {
+  bool ok = false;
+  std::string message;       // on failure
+  bool worker_was_killed = false;
+  std::uint64_t acked_ops = 0;  // acknowledged units (ops or txns)
+  std::uint64_t keys_checked = 0;
+  std::uint64_t auditor_checks = 0;
+  bool attack_checked = false;
+};
+
+/// Verifies the images a (possibly killed) worker left behind. Requires a
+/// common::CheckThrowScope in the caller (auditor violations and lost
+/// ops surface as CheckFailure and are converted into a failed result).
+VerifyResult verify(Family family, const std::string& image_path,
+                    std::uint64_t sweep_seed, std::uint64_t index,
+                    const DesignPin* pin = nullptr);
 
 struct SweepConfig {
   std::uint64_t seed = 1;
   std::uint64_t scenarios = 200;
-  /// Run the service scenario family (multithreaded KvService workers)
-  /// instead of the single-threaded one.
-  bool service = false;
-  /// Run the txn scenario family (multi-key transactions over a 2-shard
-  /// KvService, kills at 2PC wave boundaries). Mutually exclusive with
-  /// `service`.
-  bool txn = false;
+  Family family = Family::kSingle;
   /// Pin every scenario to one design (see parse_design_pin). Empty =
   /// the default cc mix. Single-threaded family only — combining a pin
-  /// with `service`/`txn` fails the sweep up front.
+  /// with another family fails the sweep up front.
   std::string design;
   std::size_t jobs = 1;  // deterministic executor width (0 = hw)
   /// Directory for image/ack files; empty = a fresh mkdtemp under
   /// $TMPDIR. Files are deleted per scenario unless keep_files.
   std::string work_dir;
   bool keep_files = false;
-  /// Executable to fork+exec as `<exe> crashd worker ...`; empty =
-  /// /proc/self/exe (the running binary).
-  std::string worker_exe;
 };
+
+/// Parses `config.design` into `pin` (untouched when no design is set).
+/// Returns why it cannot pin `config.family`, or "" when it can.
+std::string parse_sweep_pin(const SweepConfig& config, DesignPin& pin);
 
 struct SweepResult {
   std::uint64_t scenarios = 0;
@@ -290,8 +264,9 @@ struct SweepResult {
   bool ok() const { return failures.empty(); }
 };
 
-/// Fork+exec one worker per scenario (in parallel over the deterministic
-/// executor), reap it, and verify every image in-process. Installs its
+/// Fork+exec one worker per scenario (`/proc/self/exe crashd worker ...`,
+/// in parallel over the deterministic executor), reap it, and verify
+/// every image in-process. Installs its
 /// own CheckThrowScope — must not run inside another one.
 SweepResult run_sweep(const SweepConfig& config);
 

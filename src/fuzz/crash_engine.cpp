@@ -11,14 +11,13 @@
 #include <unistd.h>
 
 #include <cstdlib>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "audit/invariant_auditor.h"
+#include "audit/kv_oracle.h"
 #include "audit/sweep_shape.h"
 #include "common/check.h"
 #include "common/rng.h"
@@ -38,14 +37,6 @@ using audit::kSweepPages;
 using audit::kSweepTriggers;
 using audit::shaped_design_config;
 using audit::sweep_pattern_line;
-
-store::StoreConfig crash_store_config() {
-  store::StoreConfig cfg;
-  cfg.shards = 2;
-  cfg.buckets_per_shard = 64;
-  cfg.heap_lines_per_shard = 192;
-  return cfg;
-}
 
 /// Backs a case's NvmImage with a real mmap'ed file. The file is
 /// mkstemp'ed and immediately unlinked (FileBackend keeps the mapping
@@ -129,13 +120,9 @@ void run_kv_case(core::SecureNvmBase& base, core::DrainTrigger trigger,
                  core::DrainCrashPoint point, std::size_t max_ops, Rng& rng,
                  CaseOutcome& out) {
   constexpr std::size_t kKeys = 16;
-  store::SecureKvStore kv(base, crash_store_config());
-  std::map<std::string, std::string> expected;
-  // The operation unwound by the injected power loss: its key may
-  // surface with the old or the new state, never a third one.
-  std::optional<std::string> in_flight_key;
-  std::optional<std::string> in_flight_before;
-  std::optional<std::string> in_flight_after;
+  const std::vector<std::string> keys = audit::numbered_keys("fz-", kKeys);
+  store::SecureKvStore kv(base, audit::sweep_store_config());
+  audit::KvModel model;
 
   bool crashed = false;
   std::uint64_t tag = 0;
@@ -145,39 +132,13 @@ void run_kv_case(core::SecureNvmBase& base, core::DrainTrigger trigger,
         (trigger == core::DrainTrigger::kUpdateLimit && !rng.chance(0.25))
             ? 0
             : static_cast<std::size_t>(rng.below(kKeys));
-    const std::string key = "fz-" + std::to_string(key_index);
-    const auto it = expected.find(key);
-    const std::optional<std::string> before =
-        it == expected.end() ? std::nullopt
-                             : std::optional<std::string>(it->second);
-    const std::uint64_t roll = rng.below(100);
+    const audit::KvOp op = audit::draw_op(rng, keys[key_index], 140, 0, tag);
+    model.submit({op});
     try {
-      if (roll < 55) {
-        const std::uint64_t vtag = ++tag;
-        std::string value(rng.below(140), '\0');
-        for (std::size_t j = 0; j < value.size(); ++j) {
-          value[j] = static_cast<char>(static_cast<std::uint8_t>(vtag * 167 + j));
-        }
-        in_flight_key = key;
-        in_flight_before = before;
-        in_flight_after = value;
-        CCNVM_CHECK_MSG(kv.put(key, value), "crash fuzz: store full");
-        expected[key] = value;
-      } else if (roll < 80) {
-        in_flight_key = key;
-        in_flight_before = before;
-        in_flight_after = std::nullopt;
-        kv.erase(key);
-        expected.erase(key);
-      } else {
-        in_flight_key = key;
-        in_flight_before = before;
-        in_flight_after = before;
-        (void)kv.get(key);
-      }
-      in_flight_key.reset();
+      audit::run_op(kv, op);
+      model.ack();
     } catch (const core::InjectedPowerLoss&) {
-      crashed = true;
+      crashed = true;  // the op stays in flight: all-or-nothing on reopen
     }
   }
   if (trigger == core::DrainTrigger::kExplicit && !crashed) {
@@ -199,20 +160,8 @@ void run_kv_case(core::SecureNvmBase& base, core::DrainTrigger trigger,
   ++out.recoveries;
 
   store::SecureKvStore reopened =
-      store::SecureKvStore::open(base, crash_store_config());
-  for (std::size_t i = 0; i < kKeys; ++i) {
-    const std::string key = "fz-" + std::to_string(i);
-    const std::optional<std::string> got = reopened.get(key);
-    if (in_flight_key && *in_flight_key == key) {
-      CCNVM_CHECK_MSG(got == in_flight_before || got == in_flight_after,
-                      "crash fuzz: in-flight operation left a third state");
-    } else if (const auto it = expected.find(key); it != expected.end()) {
-      CCNVM_CHECK_MSG(got.has_value() && *got == it->second,
-                      "crash fuzz: committed KV operation lost");
-    } else {
-      CCNVM_CHECK_MSG(!got.has_value(),
-                      "crash fuzz: erased/unwritten key reappeared");
-    }
+      store::SecureKvStore::open(base, audit::sweep_store_config());
+  for (const auto& got : audit::check_reopened(model, {{&reopened, keys}})) {
     ++out.checks;
     fold_digest(out.digest, got ? got->size() + 1 : 0);
   }
@@ -244,7 +193,8 @@ CaseOutcome run_crash_case(std::uint64_t case_seed, std::size_t max_ops,
   if (barrier_design) point = core::DrainCrashPoint::kNone;
   const bool kv_mode = rng.chance(0.5);
 
-  core::DesignConfig config = shaped_design_config(trigger, kv_mode ? 6 : 12);
+  core::DesignConfig config =
+      shaped_design_config(trigger, kv_mode ? audit::kKvDaqEntries : 12);
   if (file_backend) config.backend_factory = make_file_backend;
   auto design = core::make_design(kind, config);
   auto* base = dynamic_cast<core::SecureNvmBase*>(design.get());

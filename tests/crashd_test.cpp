@@ -77,10 +77,10 @@ TEST(CrashdWorkerTest, CleanScenarioRoundTripsThroughTheImageFile) {
   const auto index = find_index(1, KillMode::kNone);
   ASSERT_TRUE(index.has_value());
   const std::string image = temp_path("crashd-clean.dimm");
-  ASSERT_EQ(run_worker(image, 1, *index), 0);
+  ASSERT_EQ(run_worker(Family::kSingle, image, 1, *index), 0);
 
   CheckThrowScope throw_scope;
-  const VerifyResult r = verify_scenario(image, 1, *index);
+  const VerifyResult r = verify(Family::kSingle, image, 1, *index);
   EXPECT_TRUE(r.ok) << r.message;
   EXPECT_FALSE(r.worker_was_killed);
   EXPECT_EQ(r.acked_ops, derive_scenario(1, *index).ops);
@@ -93,10 +93,10 @@ TEST(CrashdWorkerTest, AttackScenarioIsDetectedAndLocated) {
   const auto index = find_index(1, KillMode::kAttack);
   ASSERT_TRUE(index.has_value());
   const std::string image = temp_path("crashd-attack.dimm");
-  ASSERT_EQ(run_worker(image, 1, *index), 0);
+  ASSERT_EQ(run_worker(Family::kSingle, image, 1, *index), 0);
 
   CheckThrowScope throw_scope;
-  const VerifyResult r = verify_scenario(image, 1, *index);
+  const VerifyResult r = verify(Family::kSingle, image, 1, *index);
   EXPECT_TRUE(r.ok) << r.message;
   EXPECT_TRUE(r.attack_checked);
   cleanup(image);
@@ -108,7 +108,7 @@ TEST(CrashdVerifyTest, TamperedAckLogFailsVerification) {
   const auto index = find_index(1, KillMode::kNone);
   ASSERT_TRUE(index.has_value());
   const std::string image = temp_path("crashd-forged.dimm");
-  ASSERT_EQ(run_worker(image, 1, *index), 0);
+  ASSERT_EQ(run_worker(Family::kSingle, image, 1, *index), 0);
   {
     std::FILE* f = std::fopen((image + ".ack").c_str(), "ab");
     ASSERT_NE(f, nullptr);
@@ -116,15 +116,35 @@ TEST(CrashdVerifyTest, TamperedAckLogFailsVerification) {
     std::fclose(f);
   }
   CheckThrowScope throw_scope;
-  const VerifyResult r = verify_scenario(image, 1, *index);
+  const VerifyResult r = verify(Family::kSingle, image, 1, *index);
   EXPECT_FALSE(r.ok);
   cleanup(image);
 }
 
 TEST(CrashdVerifyTest, MissingImageFails) {
   CheckThrowScope throw_scope;
-  const VerifyResult r = verify_scenario(temp_path("crashd-nope.dimm"), 1, 0);
+  const VerifyResult r =
+      verify(Family::kSingle, temp_path("crashd-nope.dimm"), 1, 0);
   EXPECT_FALSE(r.ok);
+}
+
+TEST(CrashdDesignPinTest, TriadLevelIsBoundedAndOverflowChecked) {
+  // 4294967297 = 2^32 + 1: a 32-bit digit loop wraps it to triad-n1.
+  for (const char* bad : {"triad-n4294967297", "triad-n65", "triad-n0",
+                          "triad-n", "triad-nx", "wocc", "ccnvm-plus", "sc",
+                          "osiris"}) {
+    DesignPin pin;
+    EXPECT_FALSE(parse_design_pin(bad, pin)) << bad;
+  }
+  DesignPin pin;
+  ASSERT_TRUE(parse_design_pin("triad-n3", pin));
+  EXPECT_EQ(pin.kind, core::DesignKind::kTriadNvm);
+  EXPECT_EQ(pin.persist_level, 3u);
+  ASSERT_TRUE(parse_design_pin("triad-n64", pin));
+  EXPECT_EQ(pin.persist_level, 64u);
+  for (const char* good : {"ccnvm", "ccnvm-nods", "triad", "phoenix"}) {
+    EXPECT_TRUE(parse_design_pin(good, pin)) << good;
+  }
 }
 
 // ---- Service scenario family -------------------------------------------
@@ -195,10 +215,10 @@ TEST(CrashdServiceWorkerTest, CleanScenarioRoundTripsThroughShardImages) {
   ASSERT_TRUE(index.has_value());
   const ServiceScenario sc = derive_service_scenario(1, *index);
   const std::string image = temp_path("crashd-svc-clean.dimm");
-  ASSERT_EQ(run_service_worker(image, 1, *index), 0);
+  ASSERT_EQ(run_worker(Family::kService, image, 1, *index), 0);
 
   CheckThrowScope throw_scope;
-  const VerifyResult r = verify_service_scenario(image, 1, *index);
+  const VerifyResult r = verify(Family::kService, image, 1, *index);
   EXPECT_TRUE(r.ok) << r.message;
   EXPECT_FALSE(r.worker_was_killed);
   EXPECT_EQ(r.acked_ops, sc.threads * sc.ops_per_thread);
@@ -210,7 +230,7 @@ TEST(CrashdServiceVerifyTest, TamperedThreadAckLogFailsVerification) {
   const auto index = find_service_index(1, ServiceKill::kNone);
   ASSERT_TRUE(index.has_value());
   const std::string image = temp_path("crashd-svc-forged.dimm");
-  ASSERT_EQ(run_service_worker(image, 1, *index), 0);
+  ASSERT_EQ(run_worker(Family::kService, image, 1, *index), 0);
   {
     // An ack after thread 0's clean-exit marker: the worker never wrote
     // it, so the verifier must reject the log as malformed.
@@ -220,7 +240,7 @@ TEST(CrashdServiceVerifyTest, TamperedThreadAckLogFailsVerification) {
     std::fclose(f);
   }
   CheckThrowScope throw_scope;
-  const VerifyResult r = verify_service_scenario(image, 1, *index);
+  const VerifyResult r = verify(Family::kService, image, 1, *index);
   EXPECT_FALSE(r.ok);
   cleanup_service(image);
 }
@@ -228,7 +248,7 @@ TEST(CrashdServiceVerifyTest, TamperedThreadAckLogFailsVerification) {
 TEST(CrashdServiceVerifyTest, MissingShardImagesFail) {
   CheckThrowScope throw_scope;
   const VerifyResult r =
-      verify_service_scenario(temp_path("crashd-svc-nope.dimm"), 1, 0);
+      verify(Family::kService, temp_path("crashd-svc-nope.dimm"), 1, 0);
   EXPECT_FALSE(r.ok);
 }
 
@@ -289,10 +309,10 @@ TEST(CrashdTxnWorkerTest, CleanScenarioRoundTripsThroughShardImages) {
   ASSERT_TRUE(index.has_value());
   const TxnScenario sc = derive_txn_scenario(1, *index);
   const std::string image = temp_path("crashd-txn-clean.dimm");
-  ASSERT_EQ(run_txn_worker(image, 1, *index), 0);
+  ASSERT_EQ(run_worker(Family::kTxn, image, 1, *index), 0);
 
   CheckThrowScope throw_scope;
-  const VerifyResult r = verify_txn_scenario(image, 1, *index);
+  const VerifyResult r = verify(Family::kTxn, image, 1, *index);
   EXPECT_TRUE(r.ok) << r.message;
   EXPECT_FALSE(r.worker_was_killed);
   EXPECT_EQ(r.acked_ops, sc.threads * sc.actions_per_thread);
@@ -306,7 +326,7 @@ TEST(CrashdTxnVerifyTest, TamperedThreadAckLogFailsVerification) {
   const auto index = find_txn_index(1, TxnKill::kNone);
   ASSERT_TRUE(index.has_value());
   const std::string image = temp_path("crashd-txn-forged.dimm");
-  ASSERT_EQ(run_txn_worker(image, 1, *index), 0);
+  ASSERT_EQ(run_worker(Family::kTxn, image, 1, *index), 0);
   {
     std::FILE* f = std::fopen((image + ".ack.t0").c_str(), "ab");
     ASSERT_NE(f, nullptr);
@@ -314,7 +334,7 @@ TEST(CrashdTxnVerifyTest, TamperedThreadAckLogFailsVerification) {
     std::fclose(f);
   }
   CheckThrowScope throw_scope;
-  const VerifyResult r = verify_txn_scenario(image, 1, *index);
+  const VerifyResult r = verify(Family::kTxn, image, 1, *index);
   EXPECT_FALSE(r.ok);
   cleanup_service(image);
 }
@@ -322,7 +342,7 @@ TEST(CrashdTxnVerifyTest, TamperedThreadAckLogFailsVerification) {
 TEST(CrashdTxnVerifyTest, MissingShardImagesFail) {
   CheckThrowScope throw_scope;
   const VerifyResult r =
-      verify_txn_scenario(temp_path("crashd-txn-nope.dimm"), 1, 0);
+      verify(Family::kTxn, temp_path("crashd-txn-nope.dimm"), 1, 0);
   EXPECT_FALSE(r.ok);
 }
 

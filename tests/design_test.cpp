@@ -233,5 +233,27 @@ TEST(DesignComparisonTest, BlockingCyclesOrderingMatchesPaper) {
   EXPECT_LT(busy[DesignKind::kCcNvm], busy[DesignKind::kCcNvmNoDs]);
 }
 
+TEST(ParseDesignTest, NamesAndTriadLevels) {
+  EXPECT_EQ(parse_design("wocc"), DesignKind::kWoCc);
+  EXPECT_EQ(parse_design("sc"), DesignKind::kStrict);
+  EXPECT_EQ(parse_design("osiris"), DesignKind::kOsirisPlus);
+  EXPECT_EQ(parse_design("ccnvm-nods"), DesignKind::kCcNvmNoDs);
+  EXPECT_EQ(parse_design("ccnvm"), DesignKind::kCcNvm);
+  EXPECT_EQ(parse_design("ccnvm-plus"), DesignKind::kCcNvmPlus);
+  EXPECT_EQ(parse_design("phoenix"), DesignKind::kPhoenix);
+  std::uint32_t level = 7;
+  EXPECT_EQ(parse_design("triad", &level), DesignKind::kTriadNvm);
+  EXPECT_EQ(level, 7u) << "plain triad leaves the caller's default";
+  EXPECT_EQ(parse_design("triad-n64", &level), DesignKind::kTriadNvm);
+  EXPECT_EQ(level, 64u);
+  EXPECT_EQ(parse_design("triad-n007", &level), DesignKind::kTriadNvm);
+  EXPECT_EQ(level, 7u);
+  for (const char* bad : {"", "triad-n", "triad-n0", "triad-n65",
+                          "triad-n4294967297", "triad-n18446744073709551617",
+                          "triad-n-1", "triad-n2x", "ccnvm+", "CCNVM"}) {
+    EXPECT_EQ(parse_design(bad), std::nullopt) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace ccnvm::core

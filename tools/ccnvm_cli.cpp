@@ -72,27 +72,12 @@ std::optional<std::uint64_t> parse_u64(const std::string& arg) {
   return value;
 }
 
-/// "triad-n<K>" selects Triad-NVM with persist frontier K; plain "triad"
-/// is triad-n1. `persist_level` (optional) receives the frontier.
-std::optional<core::DesignKind> parse_design(
-    const std::string& name, std::uint32_t* persist_level = nullptr) {
-  if (name == "wocc") return core::DesignKind::kWoCc;
-  if (name == "sc") return core::DesignKind::kStrict;
-  if (name == "osiris") return core::DesignKind::kOsirisPlus;
-  if (name == "ccnvm-nods") return core::DesignKind::kCcNvmNoDs;
-  if (name == "ccnvm") return core::DesignKind::kCcNvm;
-  if (name == "ccnvm-plus") return core::DesignKind::kCcNvmPlus;
-  if (name == "phoenix") return core::DesignKind::kPhoenix;
-  if (name == "triad") return core::DesignKind::kTriadNvm;
-  if (name.rfind("triad-n", 0) == 0 && name.size() > 7) {
-    const auto level = parse_u64(name.substr(7));
-    if (!level || *level == 0 || *level > 64) return std::nullopt;
-    if (persist_level != nullptr) {
-      *persist_level = static_cast<std::uint32_t>(*level);
-    }
-    return core::DesignKind::kTriadNvm;
-  }
-  return std::nullopt;
+/// The VALUE of `arg` when it is the flag `prefix` ("--name=VALUE").
+std::optional<std::string> flag_value(const std::string& arg,
+                                      const char* prefix) {
+  const std::size_t n = std::strlen(prefix);
+  if (arg.compare(0, n, prefix) != 0) return std::nullopt;
+  return arg.substr(n);
 }
 
 int cmd_list() {
@@ -127,7 +112,7 @@ int cmd_geometry(std::uint64_t mib) {
 int cmd_run(const std::string& workload, const std::string& design,
             std::uint64_t refs) {
   std::uint32_t persist_level = 1;
-  const auto kind = parse_design(design, &persist_level);
+  const auto kind = core::parse_design(design, &persist_level);
   if (!kind) {
     std::fprintf(stderr, "unknown design '%s'\n", design.c_str());
     return 2;
@@ -246,7 +231,7 @@ int cmd_audit(std::uint64_t seed, std::uint64_t jobs) {
 int cmd_kv_run(const std::string& workload_name, const std::string& design,
                std::uint64_t ops, std::uint64_t records) {
   std::uint32_t persist_level = 1;
-  const auto kind = parse_design(design, &persist_level);
+  const auto kind = core::parse_design(design, &persist_level);
   if (!kind) {
     std::fprintf(stderr, "unknown design '%s'\n", design.c_str());
     return 2;
@@ -311,14 +296,7 @@ int cmd_kv_serve(int argc, char** argv) {
   opts.ops_per_thread = 256;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value_of =
-        [&arg](const char* prefix) -> std::optional<std::string> {
-      const std::size_t n = std::strlen(prefix);
-      if (arg.size() >= n && arg.compare(0, n, prefix) == 0) {
-        return arg.substr(n);
-      }
-      return std::nullopt;
-    };
+    const auto value_of = [&arg](const char* p) { return flag_value(arg, p); };
     if (const auto v = value_of("--threads=")) {
       const auto t = parse_u64(*v);
       if (!t || *t == 0) return usage();
@@ -466,14 +444,7 @@ int cmd_fuzz(int argc, char** argv) {
   bool engine_set = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value_of =
-        [&arg](const char* prefix) -> std::optional<std::string> {
-      const std::size_t n = std::strlen(prefix);
-      if (arg.size() >= n && arg.compare(0, n, prefix) == 0) {
-        return arg.substr(n);
-      }
-      return std::nullopt;
-    };
+    const auto value_of = [&arg](const char* p) { return flag_value(arg, p); };
     if (const auto v = value_of("--engine=")) {
       const auto engine = fuzz::parse_engine(*v);
       if (!engine) {
@@ -598,28 +569,17 @@ int cmd_crashd(int argc, char** argv) {
   const std::string sub = argv[2];
 
   std::string image;
-  std::uint64_t seed = 1;
   std::uint64_t index = 0;
-  bool service = false;
-  bool txn = false;
-  std::string design;
-  crashd::SweepConfig sweep_cfg;
+  crashd::SweepConfig cfg;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value_of =
-        [&arg](const char* prefix) -> std::optional<std::string> {
-      const std::size_t n = std::strlen(prefix);
-      if (arg.size() >= n && arg.compare(0, n, prefix) == 0) {
-        return arg.substr(n);
-      }
-      return std::nullopt;
-    };
+    const auto value_of = [&arg](const char* p) { return flag_value(arg, p); };
     if (const auto v = value_of("--image=")) {
       image = *v;
     } else if (const auto v = value_of("--seed=")) {
       const auto s = parse_u64(*v);
       if (!s) return usage();
-      seed = sweep_cfg.seed = *s;
+      cfg.seed = *s;
     } else if (const auto v = value_of("--index=")) {
       const auto idx = parse_u64(*v);
       if (!idx) return usage();
@@ -627,62 +587,48 @@ int cmd_crashd(int argc, char** argv) {
     } else if (const auto v = value_of("--scenarios=")) {
       const auto n = parse_u64(*v);
       if (!n) return usage();
-      sweep_cfg.scenarios = *n;
+      cfg.scenarios = *n;
     } else if (const auto v = value_of("--jobs=")) {
       const auto jobs = parse_u64(*v);
       if (!jobs) return usage();
-      sweep_cfg.jobs = static_cast<std::size_t>(*jobs);
+      cfg.jobs = static_cast<std::size_t>(*jobs);
     } else if (const auto v = value_of("--dir=")) {
-      sweep_cfg.work_dir = *v;
+      cfg.work_dir = *v;
     } else if (arg == "--keep") {
-      sweep_cfg.keep_files = true;
-    } else if (arg == "--service") {
-      service = sweep_cfg.service = true;
-    } else if (arg == "--txn") {
-      txn = sweep_cfg.txn = true;
+      cfg.keep_files = true;
+    } else if (arg == "--service" || arg == "--txn") {
+      // One family per run: a second family flag is a usage error.
+      if (cfg.family != crashd::Family::kSingle) return usage();
+      cfg.family =
+          arg == "--txn" ? crashd::Family::kTxn : crashd::Family::kService;
     } else if (const auto v = value_of("--design=")) {
-      design = sweep_cfg.design = *v;
+      cfg.design = *v;
     } else {
       return usage();
     }
   }
+  // run_sweep validates its own copy; worker/verify need the parse here.
   crashd::DesignPin pin_storage;
-  const crashd::DesignPin* pin = nullptr;
-  if (!design.empty()) {
-    // run_sweep validates its own copy; worker/verify need the parse here.
-    if (service || txn) {
-      std::fprintf(stderr,
-                   "--design pins are single-threaded-family only\n");
-      return 2;
-    }
-    if (!crashd::parse_design_pin(design, pin_storage)) {
-      std::fprintf(stderr, "unknown or unsupported design pin '%s'\n",
-                   design.c_str());
-      return 2;
-    }
-    pin = &pin_storage;
+  if (const std::string why = crashd::parse_sweep_pin(cfg, pin_storage);
+      !why.empty()) {
+    std::fprintf(stderr, "%s\n", why.c_str());
+    return 2;
   }
+  const crashd::DesignPin* pin = cfg.design.empty() ? nullptr : &pin_storage;
 
   if (sub == "worker") {
     if (image.empty()) return usage();
     // No CheckThrowScope: a broken invariant in the worker must abort,
     // which the sweep reports as an unexpected wait status.
-    if (txn) return crashd::run_txn_worker(image, seed, index);
-    return service ? crashd::run_service_worker(image, seed, index)
-                   : crashd::run_worker(image, seed, index, pin);
+    return crashd::run_worker(cfg.family, image, cfg.seed, index, pin);
   }
   if (sub == "verify") {
     if (image.empty()) return usage();
     CheckThrowScope throw_scope;
     const crashd::VerifyResult r =
-        txn ? crashd::verify_txn_scenario(image, seed, index)
-        : service ? crashd::verify_service_scenario(image, seed, index)
-                  : crashd::verify_scenario(image, seed, index, pin);
+        crashd::verify(cfg.family, image, cfg.seed, index, pin);
     const std::string desc =
-        txn ? crashd::describe(crashd::derive_txn_scenario(seed, index))
-        : service
-            ? crashd::describe(crashd::derive_service_scenario(seed, index))
-            : crashd::describe(crashd::derive_scenario(seed, index, pin));
+        crashd::describe(cfg.family, cfg.seed, index, pin);
     std::printf("scenario %llu [%s]: %s\n",
                 static_cast<unsigned long long>(index), desc.c_str(),
                 r.ok ? "ok" : "FAIL");
@@ -699,7 +645,7 @@ int cmd_crashd(int argc, char** argv) {
     return 0;
   }
   if (sub == "sweep") {
-    const crashd::SweepResult r = crashd::run_sweep(sweep_cfg);
+    const crashd::SweepResult r = crashd::run_sweep(cfg);
     std::printf("crashd kill-9 sweep: %s\n",
                 r.ok() ? "zero lost acked ops, zero auditor violations"
                        : "FAILURES");
@@ -717,7 +663,7 @@ int cmd_crashd(int argc, char** argv) {
       std::printf("FAIL %s\n", f.c_str());
       std::printf("  repro: ccnvm crashd verify --image=<kept> --seed=%llu "
                   "--index=<i> (rerun sweep with --keep --dir=D)\n",
-                  static_cast<unsigned long long>(sweep_cfg.seed));
+                  static_cast<unsigned long long>(cfg.seed));
     }
     return r.ok() ? 0 : 1;
   }
