@@ -1,7 +1,5 @@
+#include "baselines/level_persisted.h"
 #include "baselines/osiris_plus.h"
-#include "baselines/phoenix.h"
-#include "baselines/strict_consistency.h"
-#include "baselines/triad_nvm.h"
 #include "baselines/wo_cc.h"
 #include "core/cc_nvm.h"
 #include "core/cc_nvm_plus.h"
@@ -15,7 +13,9 @@ std::unique_ptr<SecureNvmDesign> make_design(DesignKind kind,
     case DesignKind::kWoCc:
       return std::make_unique<baselines::WoCcDesign>(config);
     case DesignKind::kStrict:
-      return std::make_unique<baselines::StrictDesign>(config);
+    case DesignKind::kTriadNvm:
+    case DesignKind::kPhoenix:
+      return std::make_unique<baselines::LevelPersistedDesign>(kind, config);
     case DesignKind::kOsirisPlus:
       return std::make_unique<baselines::OsirisPlusDesign>(config);
     case DesignKind::kCcNvmNoDs:
@@ -26,10 +26,6 @@ std::unique_ptr<SecureNvmDesign> make_design(DesignKind kind,
                                            /*deferred_spreading=*/true);
     case DesignKind::kCcNvmPlus:
       return std::make_unique<CcNvmPlusDesign>(config);
-    case DesignKind::kTriadNvm:
-      return std::make_unique<baselines::TriadNvmDesign>(config);
-    case DesignKind::kPhoenix:
-      return std::make_unique<baselines::PhoenixDesign>(config);
   }
   CCNVM_CHECK_MSG(false, "unknown design kind");
   return nullptr;

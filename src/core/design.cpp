@@ -70,6 +70,11 @@ std::optional<DesignKind> parse_design(std::string_view name,
   return DesignKind::kTriadNvm;
 }
 
+bool commits_every_write_back(DesignKind kind) {
+  return kind == DesignKind::kStrict || kind == DesignKind::kTriadNvm ||
+         kind == DesignKind::kPhoenix;
+}
+
 namespace {
 
 nvm::NvmImage make_image(const DesignConfig& config,
@@ -627,7 +632,7 @@ RecoveryReport SecureNvmBase::recover() {
   inputs.jobs = config_.recovery_jobs;
   augment_recovery_inputs(inputs);
   RecoveryManager manager(inputs);
-  RecoveryReport report = manager.run();
+  RecoveryReport report = manager.run(kind());
 
   if (report.metadata_recovered && functional()) {
     // Reinstall the repaired image as the logical state and resume.

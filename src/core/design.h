@@ -73,6 +73,11 @@ std::string_view design_name(DesignKind kind);
 std::optional<DesignKind> parse_design(std::string_view name,
                                        std::uint32_t* persist_level = nullptr);
 
+/// The level-persisted designs — SC, Triad-NVM and Phoenix (docs/MODEL.md
+/// §5b): each write-back commits its branch up to the persisted frontier,
+/// so there is no drain epoch and no drain window to crash inside.
+bool commits_every_write_back(DesignKind kind);
+
 struct DesignConfig {
   std::uint64_t data_capacity = 1ull << 20;
   std::uint64_t key_seed = 0x5eedULL;

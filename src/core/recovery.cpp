@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/thread_pool.h"
+#include "core/design.h"
 #include "secure/counter_block.h"
 #include "secure/ecc.h"
 
@@ -122,7 +123,36 @@ std::vector<Addr> RecoveryManager::verify_data_hmacs() const {
   return bad;
 }
 
-RecoveryReport RecoveryManager::run() {
+struct RecoveryManager::LevelPersistedPreset {
+  const char* clean_detail;
+  /// nullptr leaves `detail` empty on a located attack.
+  const char* located_detail;
+  /// rebuild_hash_ops counts the node tags of the rebuild above the
+  /// frontier, the root recompute included.
+  bool counts_rebuild;
+  /// tampered_blocks lists the pages of tree-located counter lines before
+  /// the data-HMAC mismatches (after them otherwise).
+  bool tree_pages_first;
+  /// recovered_root holds ROOT_new on an attack too (zero otherwise).
+  bool root_on_attack;
+};
+
+RecoveryReport RecoveryManager::run(DesignKind kind) {
+  // SC's whole-tree verification reports no rebuild work, ROOT_new as the
+  // root even on an attack (the register is trusted), and its findings
+  // tree-first without a detail line (tests/recovery_batch_test.cpp pins
+  // each design's report).
+  static constexpr LevelPersistedPreset kStrict{
+      "strict consistency: NVM state current", nullptr,
+      /*counts_rebuild=*/false, /*tree_pages_first=*/true,
+      /*root_on_attack=*/true};
+  static constexpr LevelPersistedPreset kTriad{
+      "triad: persisted frontier verified, upper levels rebuilt",
+      "triad: tampering located against the persisted frontier", true,
+      false, false};
+  static constexpr LevelPersistedPreset kPhoenix{
+      "phoenix: persisted counter tree verified, nothing rebuilt",
+      "phoenix: tampered persisted metadata located", true, false, false};
   switch (in_.mode) {
     case RecoveryMode::kNone: {
       RecoveryReport report;
@@ -132,17 +162,14 @@ RecoveryReport RecoveryManager::run() {
           "loss nothing in NVM can be authenticated";
       return report;
     }
-    case RecoveryMode::kStrict:
-      return run_strict();
     case RecoveryMode::kOsiris:
       return run_osiris();
     case RecoveryMode::kCcNvm:
       return run_cc_nvm();
-    case RecoveryMode::kTriad:
-      return run_level_persisted(in_.persist_level, /*phoenix=*/false);
-    case RecoveryMode::kPhoenix:
-      return run_level_persisted(in_.layout->root_level() - 1,
-                                 /*phoenix=*/true);
+    case RecoveryMode::kLevelPersisted:
+      return run_level_persisted(kind == DesignKind::kStrict    ? kStrict
+                                 : kind == DesignKind::kPhoenix ? kPhoenix
+                                                                : kTriad);
   }
   CCNVM_CHECK_MSG(false, "unknown recovery mode");
   return {};
@@ -327,40 +354,6 @@ Line RecoveryManager::rebuild_tree(const std::vector<CounterBlock>& blocks,
   return root;
 }
 
-RecoveryReport RecoveryManager::run_strict() {
-  RecoveryReport report;
-  const nvm::NvmLayout& layout = *in_.layout;
-  // Under strict consistency the NVM metadata is the newest metadata;
-  // verification is a direct pass, no brute-forcing.
-  const auto reader = [&](const NodeId& id) -> Line {
-    if (id.level == 0) {
-      return in_.image->read_line(layout.data_capacity() +
-                                  id.index * kLineSize);
-    }
-    return in_.image->read_line(layout.node_addr(id));
-  };
-  const auto bad =
-      in_.merkle->find_inconsistencies(reader, in_.tcb.root_new, in_.jobs);
-  for (const NodeId& id : bad) {
-    report.replayed_nodes.push_back(id);
-    if (id.level == 0) {
-      report.tampered_blocks.push_back(id.index * kPageSize);
-    }
-  }
-  // Check every written block's data HMAC against its (current) counter.
-  const std::vector<Addr> mismatched = verify_data_hmacs();
-  report.tampered_blocks.insert(report.tampered_blocks.end(),
-                                mismatched.begin(), mismatched.end());
-  report.attack_detected =
-      !report.replayed_nodes.empty() || !report.tampered_blocks.empty();
-  report.attack_located = report.attack_detected;
-  report.metadata_recovered = !report.attack_detected;
-  report.recovered_root = in_.tcb.root_new;
-  report.clean = !report.attack_detected;
-  if (report.clean) report.detail = "strict consistency: NVM state current";
-  return report;
-}
-
 RecoveryReport RecoveryManager::run_osiris() {
   RecoveryReport report;
   const CounterRecovery rec = recover_counters();
@@ -397,11 +390,11 @@ RecoveryReport RecoveryManager::run_osiris() {
 }
 
 RecoveryReport RecoveryManager::run_level_persisted(
-    std::uint32_t persist_level, bool phoenix) {
+    const LevelPersistedPreset& preset) {
   RecoveryReport report;
   const nvm::NvmLayout& layout = *in_.layout;
   const std::uint32_t root_level = layout.root_level();
-  const std::uint32_t frontier = std::min(persist_level, root_level - 1);
+  const std::uint32_t frontier = std::min(in_.persist_level, root_level - 1);
 
   const auto stored = [&](const NodeId& id) -> Line {
     if (id.level == 0) {
@@ -414,8 +407,8 @@ RecoveryReport RecoveryManager::run_level_persisted(
   // ---- Rebuild the levels above the persisted frontier, treating the
   // frontier's stored nodes as the leaf set. Same chunked level-by-level
   // scheme as MerkleEngine::build_full_tree, so the result is
-  // bit-identical for any jobs value. Phoenix's frontier is the whole
-  // tree; only the root recompute (the verification) remains.
+  // bit-identical for any jobs value. SC's and Phoenix's frontier is the
+  // whole tree; only the root recompute (the verification) remains.
   std::vector<Line> frontier_lines(layout.nodes_at_level(frontier));
   for (std::uint64_t i = 0; i < frontier_lines.size(); ++i) {
     frontier_lines[i] = stored(NodeId{frontier, i});
@@ -444,7 +437,9 @@ RecoveryReport RecoveryManager::run_level_persisted(
           {cur.data() + begin, static_cast<std::size_t>(end - begin)});
     });
   }
-  report.rebuild_hash_ops = rebuild_hash_ops_above(layout, frontier);
+  if (preset.counts_rebuild) {
+    report.rebuild_hash_ops = rebuild_hash_ops_above(layout, frontier);
+  }
   const Line computed_root = rebuilt[root_level].front();
   const bool root_matches = computed_root == in_.tcb.root_new;
 
@@ -462,9 +457,8 @@ RecoveryReport RecoveryManager::run_level_persisted(
       in_.merkle->find_inconsistencies(hybrid, in_.tcb.root_new, in_.jobs);
 
   // ---- Data-HMAC scan against the persisted counters (they are current
-  // at every crash point — both designs persist the counter line on each
-  // write-back), catching spoofed/spliced/replayed data, DH and counter
-  // lines exactly as run_strict does.
+  // at every crash point — each write-back persists its counter line),
+  // catching spoofed/spliced/replayed data, DH and counter lines.
   report.tampered_blocks = verify_data_hmacs();
 
   if (root_matches && bad.empty() && report.tampered_blocks.empty()) {
@@ -480,9 +474,7 @@ RecoveryReport RecoveryManager::run_level_persisted(
     report.metadata_recovered = true;
     report.recovered_root = computed_root;
     report.clean = true;
-    report.detail =
-        phoenix ? "phoenix: persisted counter tree verified, nothing rebuilt"
-                : "triad: persisted frontier verified, upper levels rebuilt";
+    report.detail = preset.clean_detail;
     return report;
   }
 
@@ -490,19 +482,23 @@ RecoveryReport RecoveryManager::run_level_persisted(
   // persisted region; a divergence confined above the frontier only
   // bounds the subtree — Triad's localization limit for its volatile
   // levels.
+  std::vector<Addr> tree_pages;
   for (const NodeId& id : bad) {
     report.replayed_nodes.push_back(id);
-    if (id.level == 0) {
-      report.tampered_blocks.push_back(id.index * kPageSize);
-    }
+    if (id.level == 0) tree_pages.push_back(id.index * kPageSize);
   }
+  report.tampered_blocks.insert(preset.tree_pages_first
+                                    ? report.tampered_blocks.begin()
+                                    : report.tampered_blocks.end(),
+                                tree_pages.begin(), tree_pages.end());
   report.attack_detected = true;
   report.attack_located =
       !report.tampered_blocks.empty() || !report.replayed_nodes.empty();
+  if (preset.root_on_attack) report.recovered_root = in_.tcb.root_new;
   if (report.attack_located) {
-    report.detail = phoenix ? "phoenix: tampered persisted metadata located"
-                            : "triad: tampering located against the "
-                              "persisted frontier";
+    if (preset.located_detail != nullptr) {
+      report.detail = preset.located_detail;
+    }
   } else {
     report.data_dropped = true;
     report.detail = "triad: divergence above the persisted frontier; "

@@ -18,16 +18,16 @@
 //   kOsiris — counters brute-forced the same way, tree rebuilt, and the
 //             rebuilt root compared with the TCB root: a mismatch detects
 //             an attack but cannot locate it, so all data is dropped.
-//   kStrict — metadata in NVM is always current; verification is direct.
-//   kTriad  — Triad-NVM: counters and tree levels 1..persist_level are
-//             current in NVM; recovery rebuilds the unpersisted upper
-//             levels from the persisted frontier, checks the result
-//             against ROOT_new, and scans every data HMAC. A mismatch is
-//             localized by verifying the stored tree (counters + persisted
-//             levels + rebuilt levels) against ROOT_new.
-//   kPhoenix— Phoenix: every level is persisted in place, so recovery
-//             recomputes only the root for verification and rebuilds
-//             nothing.
+//   kLevelPersisted — SC, Triad-NVM and Phoenix (docs/MODEL.md §5b):
+//             counters and tree levels 1..persist_level are current in
+//             NVM (every level for SC and Phoenix). Recovery rebuilds the
+//             unpersisted upper levels from the persisted frontier — for
+//             SC and Phoenix only the root recompute is left — checks the
+//             stored tree against ROOT_new and scans every data HMAC.
+//             Parent/child mismatches and failing HMACs locate tampering;
+//             a divergence confined above the frontier is detected but
+//             not located, so the data is dropped.
+//             The report's wording is the design's own.
 //   kNone   — conventional secure memory: the root register is volatile,
 //             so after a crash nothing can be authenticated at all.
 #pragma once
@@ -48,7 +48,9 @@
 
 namespace ccnvm::core {
 
-enum class RecoveryMode { kNone, kStrict, kOsiris, kCcNvm, kTriad, kPhoenix };
+enum class RecoveryMode { kNone, kOsiris, kCcNvm, kLevelPersisted };
+
+enum class DesignKind;  // core/design.h
 
 struct RecoveryReport {
   /// True when recovery finished with fresh, verified metadata and no
@@ -119,8 +121,8 @@ struct RecoveryInputs {
   /// and the report and the repaired image are bit-identical for any
   /// value.
   std::size_t jobs = 1;
-  /// kTriad: highest tree level persisted per write-back (clamped to the
-  /// internal levels; levels above it are rebuilt here).
+  /// kLevelPersisted: highest tree level persisted per write-back
+  /// (clamped to the internal levels; levels above it are rebuilt here).
   std::uint32_t persist_level = 1;
 };
 
@@ -128,7 +130,9 @@ class RecoveryManager {
  public:
   explicit RecoveryManager(const RecoveryInputs& in) : in_(in) {}
 
-  RecoveryReport run();
+  /// Runs `in.mode`'s pass; `kind` is the recovering design, which
+  /// words the level-persisted report.
+  RecoveryReport run(DesignKind kind);
 
  private:
   /// One written data block as the crashed image holds it.
@@ -155,11 +159,11 @@ class RecoveryManager {
 
   RecoveryReport run_cc_nvm();
   RecoveryReport run_osiris();
-  RecoveryReport run_strict();
-  /// Shared Triad-NVM / Phoenix path: rebuild levels above the persisted
+  /// How one level-persisted design words and orders its report.
+  struct LevelPersistedPreset;
+  /// SC / Triad-NVM / Phoenix: rebuild levels above the persisted
   /// frontier, verify the root and every data HMAC, localize on mismatch.
-  RecoveryReport run_level_persisted(std::uint32_t persist_level,
-                                     bool phoenix);
+  RecoveryReport run_level_persisted(const LevelPersistedPreset& preset);
 
   /// Step 2: brute-force every written block's counter forward against its
   /// data HMAC.
@@ -189,8 +193,8 @@ class RecoveryManager {
   void scan_page(std::uint64_t leaf, std::vector<WrittenBlock>& out) const;
 
   /// Checks every written block's data HMAC against the counter line
-  /// persisted in the image (current at every crash point for the strict
-  /// and level-persisted designs). Returns the mismatching blocks in
+  /// persisted in the image (current at every crash point for the
+  /// level-persisted designs). Returns the mismatching blocks in
   /// address order.
   std::vector<Addr> verify_data_hmacs() const;
 

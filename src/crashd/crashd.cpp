@@ -618,11 +618,9 @@ Scenario derive_scenario(std::uint64_t sweep_seed, std::uint64_t index,
     sc.kind = pin->kind;
     sc.persist_level = pin->persist_level;
     if (sc.kill == KillMode::kDrainPhase &&
-        (sc.kind == core::DesignKind::kTriadNvm ||
-         sc.kind == core::DesignKind::kPhoenix)) {
-      // Barrier designs commit on every write-back — there is no drain
-      // window to kill inside. Remap to a deterministic op boundary so
-      // the pinned sweep keeps the same kill density.
+        core::commits_every_write_back(sc.kind)) {
+      // No drain window to kill inside: remap to a deterministic op
+      // boundary so the pinned sweep keeps the same kill density.
       sc.kill = KillMode::kOpBoundary;
       sc.kill_op = static_cast<std::size_t>(
           (sc.target_drain * 7 + static_cast<std::uint64_t>(sc.phase)) %

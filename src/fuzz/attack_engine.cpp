@@ -75,8 +75,7 @@ CaseOutcome run_attack_case(std::uint64_t case_seed, std::size_t max_ops) {
                  core::DesignKind::kCcNvmPlus, core::DesignKind::kTriadNvm,
                  core::DesignKind::kPhoenix}[rng.below(5)];
   const auto attack = static_cast<Attack>(rng.below(kNumAttacks));
-  const bool barrier_design = kind == core::DesignKind::kTriadNvm ||
-                              kind == core::DesignKind::kPhoenix;
+  const bool barrier_design = core::commits_every_write_back(kind);
 
   core::DesignConfig cfg;
   cfg.data_capacity = kAttackPages * kPageSize;

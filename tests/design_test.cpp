@@ -233,6 +233,30 @@ TEST(DesignComparisonTest, BlockingCyclesOrderingMatchesPaper) {
   EXPECT_LT(busy[DesignKind::kCcNvm], busy[DesignKind::kCcNvmNoDs]);
 }
 
+TEST(DesignComparisonTest, LevelPersistedPresetsDifferOnlyInTransferOverlap) {
+  // SC, Phoenix and a Triad-NVM whose frontier clamps to the whole tree
+  // persist the same lines. SC and Triad-NVM add the 4-cycle-per-line
+  // WPQ transfer to the walk; Phoenix overlaps it.
+  DesignConfig cfg = small_config();
+  cfg.persist_level = 64;
+  std::map<DesignKind, std::uint64_t> writes;
+  std::map<DesignKind, std::uint64_t> busy;
+  for (DesignKind kind :
+       {DesignKind::kStrict, DesignKind::kTriadNvm, DesignKind::kPhoenix}) {
+    auto design = make_design(kind, cfg);
+    Rng rng(7);
+    for (int i = 0; i < 500; ++i) {
+      design->write_back(rng.below(500) * kLineSize, pattern_line(i));
+    }
+    writes[kind] = design->traffic().total_writes();
+    busy[kind] = design->stats().engine_busy_cycles;
+  }
+  EXPECT_EQ(writes[DesignKind::kTriadNvm], writes[DesignKind::kStrict]);
+  EXPECT_EQ(writes[DesignKind::kPhoenix], writes[DesignKind::kStrict]);
+  EXPECT_EQ(busy[DesignKind::kTriadNvm], busy[DesignKind::kStrict]);
+  EXPECT_LT(busy[DesignKind::kPhoenix], busy[DesignKind::kStrict]);
+}
+
 TEST(ParseDesignTest, NamesAndTriadLevels) {
   EXPECT_EQ(parse_design("wocc"), DesignKind::kWoCc);
   EXPECT_EQ(parse_design("sc"), DesignKind::kStrict);

@@ -197,6 +197,46 @@ std::vector<Scenario> scenarios() {
        },
        6315247346922716752ULL,
        4953094743580542239ULL},
+      {"strict-clean", core::DesignKind::kStrict,
+       [](core::SecureNvmBase& d) {
+         scatter(d, 13, 500);
+         d.crash_power_loss();
+       },
+       2741649396779412214ULL,
+       5535139869116136135ULL},
+      {"strict-counter-replay", core::DesignKind::kStrict,
+       [](core::SecureNvmBase& d) {
+         scatter(d, 14, 300);
+         const nvm::NvmImage before = d.image().snapshot();
+         // Blocks 1 and 5 of page 3 move past the snapshot's counters, so
+         // the replayed counter line fails both the tree check (page 3)
+         // and the data-HMAC scan (its two blocks): the report's order
+         // of the two kinds of finding is pinned.
+         d.write_back(3 * kPageSize + 1 * kLineSize, pattern_line(1));
+         d.write_back(3 * kPageSize + 5 * kLineSize, pattern_line(2));
+         d.crash_power_loss();
+         attacks::replay_counter(d, before, 3 * kPageSize);
+       },
+       5313336951274580858ULL,
+       11293627354918062437ULL},
+      // Frontier 1 of the 64-page tree (root level 3): recovery rebuilds
+      // level 2 and writes it back into the image.
+      {"triad-clean", core::DesignKind::kTriadNvm,
+       [](core::SecureNvmBase& d) {
+         scatter(d, 15, 500);
+         d.crash_power_loss();
+       },
+       16365228897454591129ULL,
+       6142320766120675980ULL},
+      {"phoenix-spoofed", core::DesignKind::kPhoenix,
+       [](core::SecureNvmBase& d) {
+         scatter(d, 16, 500);
+         d.crash_power_loss();
+         Rng rng(17);
+         attacks::spoof_data(d, 3 * 97 * kLineSize, rng);
+       },
+       9289610958321441746ULL,
+       16187252858506164739ULL},
   };
 }
 
