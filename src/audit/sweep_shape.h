@@ -1,16 +1,17 @@
-// Shared scenario shaping for the crash sweeps and fuzz engines.
+// Shared scenario shaping for the crash sweeps, the crash fuzzer and
+// crashd's single-store family.
 //
-// Both sweeps (raw write-backs and KV operations) and the crash fuzzer
-// need the same ingredients: a design geometry under which ordinary
+// They need the same ingredients: a design geometry under which ordinary
 // traffic fires exactly one targeted drain trigger, deterministic
-// pattern data, and the canonical scenario matrix (cc designs × triggers
-// × crash points, plus the non-draining designs). Previously each sweep
-// carried its own copy; this header is the single source.
+// pattern data, the key draw that hammers one key for the update limit,
+// and the canonical scenario matrix (cc designs × triggers × crash
+// points, plus the non-draining designs).
 #pragma once
 
 #include <array>
 #include <cstdint>
 
+#include "common/rng.h"
 #include "common/types.h"
 #include "core/design.h"
 #include "core/protocol_observer.h"
@@ -41,6 +42,16 @@ inline store::StoreConfig sweep_store_config() {
   cfg.buckets_per_shard = 64;
   cfg.heap_lines_per_shard = 192;
   return cfg;
+}
+
+/// Key choice of the crash fuzzer's KV cases and crashd's single and
+/// service families: a hammered key when the update-limit trigger is
+/// under test, a uniform one otherwise.
+inline std::size_t draw_key_index(Rng& rng, core::DrainTrigger trigger,
+                                  std::size_t keys) {
+  return (trigger == core::DrainTrigger::kUpdateLimit && !rng.chance(0.25))
+             ? 0
+             : static_cast<std::size_t>(rng.below(keys));
 }
 
 /// DAQ size for the KV workloads: their 8-page footprint tracks ~11

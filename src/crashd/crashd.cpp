@@ -76,15 +76,6 @@ const char* phase_name(core::DrainCrashPoint p) {
   return "?";
 }
 
-/// Key choice of the single and service families (mirrors the crash fuzz
-/// engine): a hammered key when the update-limit trigger is under test.
-std::size_t draw_key_index(Rng& rng, core::DrainTrigger trigger,
-                           std::size_t keys) {
-  return (trigger == core::DrainTrigger::kUpdateLimit && !rng.chance(0.25))
-             ? 0
-             : static_cast<std::size_t>(rng.below(keys));
-}
-
 /// What the shared worker, verifier and sweep code needs to know about
 /// one scenario, whatever its family.
 struct Shape {
@@ -119,7 +110,7 @@ Shape shape_of(const Scenario& sc) {
   shape.thread_seeds = {sc.workload_seed};
   shape.draw = [trigger = sc.trigger, keys = shape.keyspace](
                    Rng& rng, std::size_t, std::uint64_t& put_tag) {
-    const std::size_t k = draw_key_index(rng, trigger, keys.size());
+    const std::size_t k = audit::draw_key_index(rng, trigger, keys.size());
     return KvUnit{audit::draw_op(rng, keys[k], 140, 0, put_tag)};
   };
   return shape;
@@ -174,7 +165,7 @@ Shape shape_of(const ServiceScenario& sc) {
   shape.units = sc.ops_per_thread;
   shape.draw = [trigger = sc.trigger](Rng& rng, std::size_t t,
                                       std::uint64_t& put_tag) {
-    const std::size_t k = draw_key_index(rng, trigger, kKeysPerThread);
+    const std::size_t k = audit::draw_key_index(rng, trigger, kKeysPerThread);
     return KvUnit{
         audit::draw_op(rng, thread_key("sv", t, k), 140, t * 29, put_tag)};
   };

@@ -35,7 +35,6 @@
 
 #ifdef CCNVM_HAVE_AUDIT
 #include "audit/crash_sweep.h"
-#include "audit/kv_crash_sweep.h"
 #include "common/check.h"
 #include "crashd/crashd.h"
 #include "fuzz/fuzz.h"
@@ -207,14 +206,15 @@ int cmd_audit(std::uint64_t seed, std::uint64_t jobs) {
   audit::CrashSweepConfig cfg;
   cfg.seed = seed;
   cfg.jobs = static_cast<std::size_t>(jobs);
-  const audit::CrashSweepResult r = audit::run_crash_sweep(cfg);
+  const audit::CrashSweepResult r =
+      audit::run_crash_sweep(audit::SweepWorkload::kRawLines, cfg);
   std::printf("audited crash sweep: all invariants held\n");
   std::printf("  scenarios           %llu (crashes %llu, recoveries %llu)\n",
               static_cast<unsigned long long>(r.scenarios),
               static_cast<unsigned long long>(r.crashes),
               static_cast<unsigned long long>(r.recoveries));
   std::printf("  writes verified     %llu\n",
-              static_cast<unsigned long long>(r.writes_verified));
+              static_cast<unsigned long long>(r.verified));
   std::printf("  events / checks     %llu / %llu (image verifications %llu)\n",
               static_cast<unsigned long long>(r.events_observed),
               static_cast<unsigned long long>(r.checks_performed),
@@ -368,10 +368,11 @@ int cmd_kv_serve(int argc, char** argv) {
 
 int cmd_kv_sweep(std::uint64_t seed, std::uint64_t jobs) {
 #ifdef CCNVM_HAVE_AUDIT
-  audit::KvCrashSweepConfig cfg;
+  audit::CrashSweepConfig cfg;
   cfg.seed = seed;
   cfg.jobs = static_cast<std::size_t>(jobs);
-  const audit::KvCrashSweepResult r = audit::run_kv_crash_sweep(cfg);
+  const audit::CrashSweepResult r =
+      audit::run_crash_sweep(audit::SweepWorkload::kKv, cfg);
   std::printf("kv crash-kill sweep: zero lost, zero spurious\n");
   std::printf("  scenarios           %llu (crashes %llu, recoveries %llu)\n",
               static_cast<unsigned long long>(r.scenarios),
@@ -381,7 +382,7 @@ int cmd_kv_sweep(std::uint64_t seed, std::uint64_t jobs) {
               static_cast<unsigned long long>(r.ops_applied),
               static_cast<unsigned long long>(r.in_flight_ops));
   std::printf("  keys / survivors    %llu / %llu\n",
-              static_cast<unsigned long long>(r.keys_verified),
+              static_cast<unsigned long long>(r.verified),
               static_cast<unsigned long long>(r.survivors_scanned));
   std::printf("  events / checks     %llu / %llu (image verifications %llu)\n",
               static_cast<unsigned long long>(r.events_observed),
