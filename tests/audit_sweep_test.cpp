@@ -4,7 +4,12 @@
 // and the totals prove the matrix was actually covered.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "audit/crash_sweep.h"
+#include "audit/sweep_shape.h"
 
 namespace ccnvm::audit {
 namespace {
@@ -51,6 +56,57 @@ TEST(CrashSweepTest, ParallelSweepMatchesSerialExactly) {
   EXPECT_EQ(a.events_observed, b.events_observed);
   EXPECT_EQ(a.checks_performed, b.checks_performed);
   EXPECT_EQ(a.image_verifications, b.image_verifications);
+}
+
+/// Drains that fire naturally, before the forced one, in each explicit
+/// cell of the sweep over `workload` at seed 1: the cell's own stream,
+/// geometry and op count, with the ops picked as run_crash_sweep picks
+/// them for kExplicit.
+std::vector<std::uint64_t> natural_drains_in_explicit_cells(
+    SweepWorkload workload) {
+  const bool kv = workload == SweepWorkload::kKv;
+  const std::size_t explicit_at = static_cast<std::size_t>(
+      std::find(kSweepTriggers.begin(), kSweepTriggers.end(),
+                core::DrainTrigger::kExplicit) -
+      kSweepTriggers.begin());
+  std::vector<std::uint64_t> natural;
+  for (std::size_t k = 0; k < kCcSweepKinds.size(); ++k) {
+    for (std::size_t p = 0; p < kSweepCrashPoints.size(); ++p) {
+      const std::size_t cell =
+          (k * kSweepTriggers.size() + explicit_at) * kSweepCrashPoints.size() +
+          p;
+      Rng rng(derive_seed(1, cell));
+      auto design = core::make_design(
+          kCcSweepKinds[k],
+          shaped_design_config(core::DrainTrigger::kExplicit,
+                               kv ? kKvDaqEntries : 12));
+      auto* base = dynamic_cast<core::SecureNvmBase*>(design.get());
+      if (base == nullptr) return {};
+      RawLines raw([](std::size_t, Rng& draw) {
+        return draw.below(kSweepPages * kPageSize / kLineSize) * kLineSize;
+      });
+      KvOps kv_ops(numbered_keys("key-", 20), [](std::size_t, Rng& draw) {
+        return static_cast<std::size_t>(draw.below(20));
+      });
+      CrashWorkload& ops = kv ? static_cast<CrashWorkload&>(kv_ops) : raw;
+      for (std::size_t i = 0; i < (kv ? 48 : 96); ++i) ops.apply(*base, i, rng);
+      const core::DesignStats& st = design->stats();
+      EXPECT_EQ(st.drains, st.drains_by_trigger[static_cast<std::size_t>(
+                               core::DrainTrigger::kDaqPressure)])
+          << "cell " << cell << ": only DAQ pressure fires on its own";
+      natural.push_back(st.drains);
+    }
+  }
+  return natural;
+}
+
+TEST(CrashSweepTest, ExplicitCellsDrainNaturallyBeforeTheForcedDrain) {
+  // 96 raw write-backs over 64 pages fill the default 64-entry DAQ once;
+  // 48 KV ops on the 8-page store fill no queue.
+  EXPECT_EQ(natural_drains_in_explicit_cells(SweepWorkload::kRawLines),
+            std::vector<std::uint64_t>(12, 1));
+  EXPECT_EQ(natural_drains_in_explicit_cells(SweepWorkload::kKv),
+            std::vector<std::uint64_t>(12, 0));
 }
 
 }  // namespace

@@ -278,6 +278,85 @@ TEST(BatchReadTest, TamperedChunkMatchesSerialLoopAtEveryJobs) {
   }
 }
 
+std::uint64_t fold(std::uint64_t d, std::uint64_t v) {
+  return splitmix64(d ^ splitmix64(v));
+}
+
+/// A read set wider than one read_blocks sub-batch (1 024 blocks): 2 600
+/// consecutive written lines, so neighbours share DH lines, with a
+/// tampered data line in sub-batches 1 and 2 and a tampered counter line
+/// whose fetches alert in sub-batch 2, plus never-written holes.
+ReadFixture make_multi_batch_fixture(std::size_t jobs) {
+  ReadFixture f;
+  core::DesignConfig cfg;
+  cfg.data_capacity = 1ull << 20;
+  cfg.meta_cache_bytes = 4 * kLineSize;
+  cfg.meta_cache_ways = 2;
+  cfg.recovery_jobs = jobs;
+  f.design = core::make_design(core::DesignKind::kCcNvm, cfg);
+  f.base = dynamic_cast<core::SecureNvmBase*>(f.design.get());
+  Rng rng(93);
+  for (std::uint64_t line = 0; line < 2600; ++line) {
+    Line pt{};
+    for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
+    f.base->write_back(line * kLineSize, pt);
+    f.addrs.push_back(line * kLineSize);
+  }
+  f.base->quiesce();
+  for (const std::uint64_t line : {std::uint64_t{200}, std::uint64_t{1301}}) {
+    Line ct = f.base->image().read_line(line * kLineSize);
+    ct[9] ^= 0x21;
+    f.base->image().restore_line(line * kLineSize, ct);
+  }
+  const Addr counter_victim = f.base->layout().counter_line_addr(
+      1500 * kLineSize);
+  Line counters = f.base->image().read_line(counter_victim);
+  counters[3] ^= 0x08;
+  f.base->image().restore_line(counter_victim, counters);
+  f.addrs.insert(f.addrs.begin() + 1700, 3000 * kLineSize);  // holes
+  f.addrs.push_back(4000 * kLineSize);
+  f.addrs.push_back(1301 * kLineSize);  // the victim again, last batch
+  return f;
+}
+
+TEST(BatchReadTest, MultiBatchReadMatchesSerialLoopAndPin) {
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3},
+                                 core::DesignConfig{}.recovery_jobs}) {
+    const std::string where = "jobs=" + std::to_string(jobs);
+    ReadFixture serial = make_multi_batch_fixture(jobs);
+    ReadFixture batched = make_multi_batch_fixture(jobs);
+    std::vector<core::ReadResult> expect;
+    for (const Addr a : serial.addrs) {
+      expect.push_back(serial.base->read_block(a));
+    }
+    const std::vector<core::ReadResult> got =
+        batched.base->read_blocks(batched.addrs);
+    ASSERT_EQ(got.size(), expect.size()) << where;
+    std::uint64_t digest = 0;
+    std::size_t failed = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].plaintext, expect[i].plaintext) << where << " i=" << i;
+      EXPECT_EQ(got[i].latency, expect[i].latency) << where << " i=" << i;
+      EXPECT_EQ(got[i].integrity_ok, expect[i].integrity_ok)
+          << where << " i=" << i;
+      failed += got[i].integrity_ok ? 0 : 1;
+      digest = fold(fold(digest, got[i].latency), got[i].integrity_ok);
+      for (const std::uint8_t b : got[i].plaintext) digest = fold(digest, b);
+    }
+    EXPECT_EQ(failed, 3u) << where;
+    EXPECT_EQ(batched.base->alerts(), serial.base->alerts()) << where;
+    expect_same_stats(batched.base->stats(), serial.base->stats(), where);
+    for (const Addr a : batched.base->alerts()) digest = fold(digest, a);
+    const core::DesignStats& st = batched.base->stats();
+    for (const std::uint64_t v :
+         {st.reads, st.hmac_ops, st.aes_ops, st.read_latency_cycles,
+          st.runtime_alerts, st.drains}) {
+      digest = fold(digest, v);
+    }
+    EXPECT_EQ(digest, 7856930350415841913ULL) << where;
+  }
+}
+
 TEST(BatchReadTest, ReadBlocksAgreesAcrossBatchTiers) {
   const crypto::Sha1ManyImpl saved = crypto::active_sha1_many_impl();
   std::vector<std::vector<core::ReadResult>> per_tier;

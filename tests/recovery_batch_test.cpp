@@ -86,9 +86,11 @@ struct Scenario {
   std::uint64_t want_report;
   std::uint64_t want_image;
   std::uint32_t update_limit = 16;
+  std::uint64_t pages = 64;
+  std::uint64_t meta_cache_lines = 32;  // evictions mid-run
 };
 
-/// Random write-backs over the first `blocks` lines of a 64-page image,
+/// Random write-backs over the first `blocks` lines of the image,
 /// a third of them to eight hot lines so counters go stale by several
 /// increments.
 void scatter(core::SecureNvmBase& d, std::uint64_t seed, int ops,
@@ -237,6 +239,47 @@ std::vector<Scenario> scenarios() {
        },
        9289610958321441746ULL,
        16187252858506164739ULL},
+      // 1 024 pages make four 256-page scan runs, so the counter search
+      // overlaps one run's hashing with the next run's scan. Stale
+      // counters sit in every run, and the overflow page is in run 2:
+      // its serial search runs inside the scan of that run.
+      {"ccnvm-four-runs-late-overflow", core::DesignKind::kCcNvm,
+       [](core::SecureNvmBase& d) {
+         scatter(d, 18, 600, 1024 * kBlocksPerPage);
+         d.quiesce();
+         for (std::uint64_t i = 0; i < 24; ++i) {
+           d.write_back(41 * kPageSize + 5 * kLineSize, pattern_line(i));
+           d.write_back(303 * kPageSize + 9 * kLineSize, pattern_line(i));
+           if (i % 3 == 0) {
+             d.write_back(613 * kPageSize + 1 * kLineSize, pattern_line(i));
+           }
+           d.write_back(899 * kPageSize + 2 * kLineSize, pattern_line(i));
+         }
+         for (std::uint64_t i = 0; i < 130; ++i) {  // one overflow
+           d.write_back(600 * kPageSize + 7 * kLineSize, pattern_line(i));
+         }
+         EXPECT_TRUE(d.tcb().overflow_pending);
+         EXPECT_EQ(d.tcb().overflow_leaf, 600u);
+         d.crash_power_loss();
+       },
+       8418956410968666834ULL,
+       9369423462826156900ULL, /*update_limit=*/200, /*pages=*/1024,
+       // Roomy enough that no dirty eviction drains the stale counters.
+       /*meta_cache_lines=*/512},
+      // The same four runs through the data-HMAC scan that SC, Triad-NVM
+      // and Phoenix share, with spoofed blocks in the first and the last run.
+      {"phoenix-four-runs-spoofed", core::DesignKind::kPhoenix,
+       [](core::SecureNvmBase& d) {
+         scatter(d, 19, 600, 1024 * kBlocksPerPage);
+         d.write_back(800 * kPageSize + 3 * kLineSize, pattern_line(1));
+         d.crash_power_loss();
+         Rng rng(20);
+         attacks::spoof_data(d, 3 * 97 * kLineSize, rng);
+         attacks::spoof_data(d, 800 * kPageSize + 3 * kLineSize, rng);
+       },
+       2115405397720764156ULL,
+       8950421632654781911ULL, /*update_limit=*/16, /*pages=*/1024,
+       /*meta_cache_lines=*/512},
   };
 }
 
@@ -249,9 +292,10 @@ struct Outcome {
 Outcome run(const Scenario& s, std::size_t jobs) {
   core::DesignConfig c = testsupport::small_design_config(
       /*daq_entries=*/64, s.update_limit);
-  c.meta_cache_bytes = 32 * kLineSize;  // evictions mid-run
+  c.meta_cache_bytes = s.meta_cache_lines * kLineSize;
   c.meta_cache_ways = 4;
   c.recovery_jobs = jobs;
+  c.data_capacity = s.pages * kPageSize;
   auto design = core::make_design(s.kind, c);
   auto* base = dynamic_cast<core::SecureNvmBase*>(design.get());
   EXPECT_NE(base, nullptr);
