@@ -387,7 +387,10 @@ int main(int argc, char** argv) {
     // cc-NVM's own crash recovery (§4.4) on a 16 MiB image with 16 K
     // written blocks: the two-root tree check, the counter search over
     // every written block's data HMAC, and the full-tree rebuild — all of
-    // it batched through tag_many. Best-of-3 wall milliseconds.
+    // it batched through tag_many. Best-of-3 wall milliseconds. Each rep
+    // restores the same crashed image and TCB into a fresh design: a
+    // re-crashed live design would hand reps 2-3 an image rep 1 already
+    // repaired, with nothing left to search.
     {
       core::DesignConfig ccfg;
       ccfg.data_capacity = 4096 * kPageSize;
@@ -398,18 +401,27 @@ int main(int argc, char** argv) {
         wline[0] = static_cast<std::uint8_t>(i);
         cc->write_back((i * 1021 % lines) * kLineSize, wline);
       }
+      cc->crash_power_loss();
+      const nvm::NvmImage crashed = cc->image().snapshot();
+      const core::TcbRegisters crashed_tcb = cc->tcb();
+      cc.reset();
       double best_ms = 0.0;
+      std::uint64_t retries = 0;
       for (int rep = 0; rep < 3; ++rep) {
-        cc->crash_power_loss();
+        auto fresh = core::make_design(core::DesignKind::kCcNvm, ccfg);
+        dynamic_cast<core::SecureNvmBase&>(*fresh).restore_from_power_down(
+            crashed.snapshot(), crashed_tcb);
         const auto r0 = std::chrono::steady_clock::now();
-        const core::RecoveryReport report = cc->recover();
+        const core::RecoveryReport report = fresh->recover();
         const double ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - r0)
                               .count();
-        if (!report.clean) {
-          std::fprintf(stderr, "cc-NVM recovery bench: not clean\n");
+        if (!report.clean || (rep > 0 && report.total_retries != retries)) {
+          std::fprintf(stderr, "cc-NVM recovery bench: not clean, or a "
+                               "rep searched a different image\n");
           return 1;
         }
+        retries = report.total_retries;
         if (rep == 0 || ms < best_ms) best_ms = ms;
       }
       doc.metrics.push_back({"recovery/ccnvm_crash_recover_ms", best_ms, "ms"});

@@ -62,8 +62,13 @@ inline constexpr std::size_t kKvDaqEntries = 6;
 /// Geometry shaped so `trigger` is the drain trigger the workload hits:
 /// a DAQ too small for many distinct pages, a Meta Cache too small to
 /// hold the working set, an update limit a hammered line exceeds fast, or
-/// roomy everything so only explicit drains fire. `daq_entries` lets the
-/// KV sweep (smaller footprint) tighten the pressure trigger.
+/// for kExplicit the defaults, where the forced drain is the one the
+/// crash lands in. The defaults are not quiet: the raw sweep's 96
+/// write-backs over 64 pages fill the 64-entry DAQ once, so one natural
+/// pressure drain precedes the forced one in each raw explicit cell; the
+/// KV sweep's 48 ops on its 8-page store drain only when forced
+/// (tests/audit_sweep_test.cpp counts both). `daq_entries` lets the KV
+/// sweep (smaller footprint) tighten the pressure trigger.
 inline core::DesignConfig shaped_design_config(core::DrainTrigger trigger,
                                                std::size_t daq_entries = 12) {
   core::DesignConfig cfg;

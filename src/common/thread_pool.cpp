@@ -30,6 +30,8 @@ struct Job {
   std::mutex error_mu;
   std::size_t error_index = std::numeric_limits<std::size_t>::max();
   std::exception_ptr error;
+  /// The caller-side task's exception; only the caller touches it.
+  std::exception_ptr task_error;
 
   /// Helpers that may still join; guarded by Pool::mu_.
   std::size_t seats = 0;
@@ -74,7 +76,7 @@ class Pool {
     return *pool;
   }
 
-  void run(Job& job, std::size_t helpers) {
+  void run(Job& job, std::size_t helpers, detail::TaskFn task) {
     {
       MutexLock lock(mu_);
       job.seats = helpers;
@@ -82,6 +84,13 @@ class Pool {
       queued_.store(queue_.size());
     }
     for (std::size_t s = 0; s < helpers; ++s) wake_.notify_one();
+    if (task.call != nullptr) {
+      try {
+        task.call(task.target);
+      } catch (...) {
+        job.task_error = std::current_exception();
+      }
+    }
     work(job);
     {
       MutexLock lock(mu_);
@@ -162,7 +171,8 @@ namespace detail {
 
 bool in_parallel_job() { return t_in_job; }
 
-void run_on_pool(std::size_t count, std::size_t helpers, IndexFn fn) {
+void run_on_pool(std::size_t count, std::size_t helpers, IndexFn fn,
+                 TaskFn task) {
   g_dispatches.fetch_add(1, std::memory_order_relaxed);
   Job job;
   job.count = count;
@@ -170,9 +180,10 @@ void run_on_pool(std::size_t count, std::size_t helpers, IndexFn fn) {
   job.check_ctx = current_check_context();
   Pool& pool = Pool::instance();
   t_in_job = true;
-  pool.run(job, helpers);
+  pool.run(job, helpers, task);
   t_in_job = false;
   if (job.error) std::rethrow_exception(job.error);
+  if (job.task_error) std::rethrow_exception(job.task_error);
 }
 
 }  // namespace detail

@@ -30,6 +30,12 @@
 // deterministic as the results. Jobs that must survive their own failures
 // (fuzz cases) catch internally and return a failure value instead.
 //
+// Overlap: parallel_for_overlapped adds one caller-side task. The helpers
+// start on the indices while the calling thread runs the task, then the
+// caller joins them. This is how a serial producer (recovery's page-run
+// scan, read_blocks' fetch), which must stay on the calling thread,
+// reads the next batch while the pool hashes the last one.
+//
 // Fork: the pool's threads do not survive fork(). A child that only
 // execs (crashd's workers) is safe; a child must not call parallel_for
 // with more than one worker before it execs.
@@ -38,8 +44,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -71,12 +79,28 @@ struct IndexFn {
   void (*call)(void* target, std::size_t index) = nullptr;
 };
 
+/// Type-erased reference to a caller-side task; null when there is none.
+struct TaskFn {
+  void* target = nullptr;
+  void (*call)(void* target) = nullptr;
+};
+
 /// True on a pool worker, and on a caller while it works its own call.
 bool in_parallel_job();
 
-/// Runs fn over [0, count) on the calling thread plus up to `helpers`
-/// pool workers; rethrows the lowest-index exception.
-void run_on_pool(std::size_t count, std::size_t helpers, IndexFn fn);
+/// Runs `task` (if any) on the calling thread while up to `helpers` pool
+/// workers start on fn over [0, count), then works the remaining indices
+/// on the calling thread too. Rethrows the lowest-index exception, else
+/// the task's.
+void run_on_pool(std::size_t count, std::size_t helpers, IndexFn fn,
+                 TaskFn task = {});
+
+template <typename Fn>
+IndexFn index_fn(Fn& fn) {
+  using Target = Fn*;
+  return {const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
+          [](void* t, std::size_t i) { (*static_cast<Target>(t))(i); }};
+}
 
 }  // namespace detail
 
@@ -103,12 +127,43 @@ CCNVM_NO_THREAD_SAFETY_ANALYSIS void parallel_for(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  auto* target = std::addressof(fn);
-  using Target = decltype(target);
+  detail::run_on_pool(count, workers - 1, detail::index_fn(fn));
+}
+
+/// Runs `caller_task()` once on the calling thread while fn(i) runs for
+/// every i in [0, count) on up to `workers` threads (0 = auto), the
+/// calling thread joining them once its task is done. The task may touch
+/// what must stay on the calling thread (image reads and writes); it must
+/// not touch what the indices read or write. Unlike parallel_for, a
+/// single index still goes to a helper, since the caller is busy.
+///
+/// With one worker, or inside a parallel job, everything runs inline:
+/// the task, then the indices in order. A parallel_for inside the task
+/// runs inline too. Every index runs even if the task throws; the
+/// lowest-index exception is rethrown, else the task's.
+template <typename Task, typename Fn>
+CCNVM_NO_THREAD_SAFETY_ANALYSIS void parallel_for_overlapped(
+    std::size_t count, std::size_t workers, Task&& caller_task, Fn&& fn) {
+  if (workers == 0) workers = default_parallelism();
+  const std::size_t helpers =
+      std::min({workers - 1, count, parallel_pool_size()});
+  if (helpers == 0 || detail::in_parallel_job()) {
+    std::exception_ptr task_error;
+    try {
+      caller_task();
+    } catch (...) {
+      task_error = std::current_exception();
+    }
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    if (task_error) std::rethrow_exception(task_error);
+    return;
+  }
+  using Target = std::remove_reference_t<Task>*;
   detail::run_on_pool(
-      count, workers - 1,
-      {const_cast<void*>(static_cast<const void*>(target)),
-       [](void* t, std::size_t i) { (*static_cast<Target>(t))(i); }});
+      count, helpers, detail::index_fn(fn),
+      {const_cast<void*>(
+           static_cast<const void*>(std::addressof(caller_task))),
+       [](void* t) { (*static_cast<Target>(t))(); }});
 }
 
 /// parallel_for that materializes results: out[i] = fn(i). The output

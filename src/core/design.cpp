@@ -478,44 +478,72 @@ std::vector<ReadResult> SecureNvmDesign::read_blocks(
 }
 
 ReadResult SecureNvmBase::read_block(Addr addr) {
-  return read_block_at(addr, nullptr);
+  return read_block_at(addr, nullptr, nullptr);
 }
 
 std::vector<ReadResult> SecureNvmBase::read_blocks(
     std::span<const Addr> addrs) {
-  std::vector<ReadResult> results(addrs.size());
-  std::vector<DeferredCheck> checks(addrs.size());
-  for (std::size_t i = 0; i < addrs.size(); ++i) {
-    results[i] = read_block_at(addrs[i], &checks[i]);
-  }
-  std::vector<std::size_t> which;
-  for (std::size_t i = 0; i < checks.size(); ++i) {
-    if (checks[i].needed) which.push_back(i);
-  }
-  if (which.empty()) return results;
-  // Decrypt and verify the deferred blocks off the image: each is a pure
-  // function of the (ciphertext, address, counter) recorded above, so the
-  // chunks can run on any worker and land by index.
+  // The serial fetch (counter fetch, tree check, fetch alerts, image
+  // reads) stays on the calling thread. The decrypt and data-HMAC check
+  // of each block are deferred: each is a pure function of the
+  // (ciphertext, address, counter) recorded by the fetch, so chunks of
+  // them run on any worker and land by index. A batch goes in sub-batches
+  // of kSubBatch blocks, and the pool verifies sub-batch j while the
+  // calling thread fetches sub-batch j+1: one pool dispatch per
+  // sub-batch, as many as one read_blocks call per sub-batch would make.
+  constexpr std::size_t kSubBatch = 1024;
   constexpr std::size_t kChunk = 32;
-  std::vector<Tag128> tags(which.size());
-  const std::size_t chunks = (which.size() + kChunk - 1) / kChunk;
-  parallel_for(chunks, config_.recovery_jobs, [&](std::size_t c) {
-    const std::size_t begin = c * kChunk;
-    const std::size_t n = std::min(kChunk, which.size() - begin);
-    std::array<secure::DataHmacReq, kChunk> reqs;
-    for (std::size_t k = 0; k < n; ++k) {
-      const DeferredCheck& d = checks[which[begin + k]];
-      reqs[k] = {&d.ct, d.addr, d.pc};
-      results[which[begin + k]].plaintext = cme_.crypt(d.ct, d.addr, d.pc);
+  const std::size_t n = addrs.size();
+  std::vector<ReadResult> results(n);
+  std::vector<DeferredCheck> checks(n);
+  // Indices of the deferred checks in read order; which[0, deferred) is
+  // filled. Sized up front so the fetch never moves what workers read.
+  std::vector<std::size_t> which(n);
+  std::vector<Tag128> tags(n);
+  std::size_t deferred = 0;
+  DhLineCache dh;
+  const auto fetch = [&](std::size_t begin) {
+    const std::size_t end = std::min(begin + kSubBatch, n);
+    for (std::size_t i = begin; i < end; ++i) {
+      results[i] = read_block_at(addrs[i], &checks[i], &dh);
+      if (checks[i].needed) which[deferred++] = i;
     }
-    cme_.data_hmac_many({reqs.data(), n}, {tags.data() + begin, n});
-  });
+  };
+  fetch(0);
+  std::size_t verified = 0;
+  for (std::size_t begin = 0; begin < n; begin += kSubBatch) {
+    const std::size_t first = verified;
+    const std::size_t count = deferred - first;
+    const auto verify = [&, first, count](std::size_t c) {
+      const std::size_t at = first + c * kChunk;
+      const std::size_t m = std::min(kChunk, count - c * kChunk);
+      std::array<secure::DataHmacReq, kChunk> reqs;
+      for (std::size_t k = 0; k < m; ++k) {
+        const std::size_t i = which[at + k];
+        const DeferredCheck& d = checks[i];
+        reqs[k] = {&d.ct, d.addr, d.pc};
+        results[i].plaintext = cme_.crypt(d.ct, d.addr, d.pc);
+      }
+      cme_.data_hmac_many({reqs.data(), m}, {tags.data() + at, m});
+    };
+    const std::size_t chunks = (count + kChunk - 1) / kChunk;
+    const std::size_t next = begin + kSubBatch;
+    if (next < n) {
+      parallel_for_overlapped(chunks, config_.recovery_jobs,
+                              [&] { fetch(next); }, verify);
+    } else {
+      parallel_for(chunks, config_.recovery_jobs, verify);
+    }
+    verified = first + count;
+  }
   // Failures surface exactly where the serial loop would have put them:
   // at the alerts_ position recorded when the check was deferred, shifted
   // by this batch's own earlier insertions (which is precisely what the
   // serial interleaving with fetch_metadata alerts would have produced).
+  // Nothing is spliced before every fetch is done, so each recorded
+  // position counts fetch alerts only.
   std::size_t inserted = 0;
-  for (std::size_t k = 0; k < tags.size(); ++k) {
+  for (std::size_t k = 0; k < deferred; ++k) {
     const std::size_t i = which[k];
     if (tags[k] == checks[i].stored) continue;
     results[i].integrity_ok = false;
@@ -529,7 +557,8 @@ std::vector<ReadResult> SecureNvmBase::read_blocks(
   return results;
 }
 
-ReadResult SecureNvmBase::read_block_at(Addr addr, DeferredCheck* defer) {
+ReadResult SecureNvmBase::read_block_at(Addr addr, DeferredCheck* defer,
+                                        DhLineCache* dh) {
   const ScopedCheckContext check_ctx(name(), commit_epoch_, "read_block");
   CCNVM_CHECK_MSG(!crashed_, "read on a crashed system");
   CCNVM_CHECK(layout_.is_data_addr(addr) && is_line_aligned(addr));
@@ -561,7 +590,14 @@ ReadResult SecureNvmBase::read_block_at(Addr addr, DeferredCheck* defer) {
 
   if (functional()) {
     const Line ct = controller_.read(addr);
-    const Line dh_line = image_.read_line(layout_.dh_line_addr(addr));
+    const Addr dh_addr = layout_.dh_line_addr(addr);
+    Line dh_line;
+    if (dh != nullptr && dh->addr == dh_addr) {
+      dh_line = dh->line;
+    } else {
+      dh_line = image_.read_line(dh_addr);
+      if (dh != nullptr) *dh = {dh_addr, dh_line};
+    }
     const Tag128 stored =
         secure::dh_tag_in_line(dh_line, layout_.dh_offset_in_line(addr));
     if (tag_is_zero(stored) && ct == zero_line()) {

@@ -164,10 +164,12 @@ class SecureNvmDesign {
   /// Batch read: equivalent to calling read_block on each address in
   /// order — same results, same stats, same alert order. The base class
   /// overrides this to defer the per-block decrypts and data-HMAC
-  /// verifications and run them as one burst through the multi-lane
+  /// verifications and run them as bursts through the multi-lane
   /// tagging path, spread over `DesignConfig::recovery_jobs` workers,
   /// which is what makes scan-shaped consumers (store open) fill SIMD
-  /// lanes and cores instead of issuing one block at a time.
+  /// lanes and cores instead of issuing one block at a time. A long
+  /// batch goes in sub-batches: the pool verifies one while the calling
+  /// thread fetches the next.
   virtual std::vector<ReadResult> read_blocks(std::span<const Addr> addrs);
 
   /// Cycles of *synchronous* stall accumulated since the last call —
@@ -409,10 +411,19 @@ class SecureNvmBase : public SecureNvmDesign {
     std::size_t alert_pos = 0;
   };
 
+  /// The DH line read_blocks fetched last. No read writes a DH line, so
+  /// consecutive blocks that share one read it once.
+  struct DhLineCache {
+    Addr addr = ~Addr{0};
+    Line line{};
+  };
+
   /// read_block's body. With `defer == nullptr` the decrypt and the
   /// data-HMAC check run inline (the public read_block); otherwise both
-  /// are recorded in *defer for the caller to run in batch.
-  ReadResult read_block_at(Addr addr, DeferredCheck* defer);
+  /// are recorded in *defer for the caller to run in batch, and the DH
+  /// line comes through *dh.
+  ReadResult read_block_at(Addr addr, DeferredCheck* defer,
+                           DhLineCache* dh);
 };
 
 /// Factory covering all five evaluated designs.

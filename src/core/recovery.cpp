@@ -1,6 +1,7 @@
 #include "core/recovery.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/thread_pool.h"
 #include "core/design.h"
@@ -45,8 +46,13 @@ std::uint64_t tree_nodes_above(const nvm::NvmLayout& layout,
 // Pages per scan run: the run's written blocks are read once and then
 // hashed as batches. 256 pages make a crash image's typical wave several
 // data_hmacs chunks wide — one per pool worker — while the worst-case run
-// buffer (16384 written blocks, ~1.6 MiB) stays small.
+// buffer (16384 written blocks, ~1.6 MiB) stays small. Runs are double
+// buffered: the pool hashes run k while the calling thread scans run k+1.
 constexpr std::uint64_t kRunPages = 256;
+
+// Data HMACs per pool index: small enough that a page run's wave splits
+// evenly over the pool.
+constexpr std::size_t kHmacChunk = 128;
 
 }  // namespace
 
@@ -80,47 +86,101 @@ void RecoveryManager::scan_page(std::uint64_t leaf,
   }
 }
 
+bool RecoveryManager::ecc_admits(const WrittenBlock& wb,
+                                 crypto::PadCounter cand) const {
+  if (!wb.has_ecc) return true;
+  // Osiris: cheap plaintext-ECC filter before the HMAC authority.
+  const Line guess = in_.cme->crypt(wb.ciphertext, wb.addr, cand);
+  secure::EccBits stored;
+  stored.bytes = wb.ecc;
+  return secure::line_matches_ecc(guess, stored);
+}
+
 void RecoveryManager::data_hmacs(std::span<const secure::DataHmacReq> reqs,
                                  std::span<Tag128> out) const {
-  // Small enough that a page run's wave splits evenly over the pool.
-  constexpr std::size_t kChunk = 128;
-  const std::size_t chunks = (reqs.size() + kChunk - 1) / kChunk;
+  const std::size_t chunks = (reqs.size() + kHmacChunk - 1) / kHmacChunk;
   parallel_for(chunks, in_.jobs, [&](std::size_t c) {
-    const std::size_t begin = c * kChunk;
-    const std::size_t n = std::min(kChunk, reqs.size() - begin);
+    const std::size_t begin = c * kHmacChunk;
+    const std::size_t n = std::min(kHmacChunk, reqs.size() - begin);
     in_.cme->data_hmac_many(reqs.subspan(begin, n), out.subspan(begin, n));
   });
 }
 
+std::vector<RecoveryManager::Check> RecoveryManager::check_run(
+    std::span<const WrittenBlock> run, std::span<const CounterBlock> counters,
+    const std::function<void()>& caller_task) const {
+  // Everything but the scan runs on the pool: the requests, the ECC
+  // filter, the hashing and the comparison. A chunk writes only its own
+  // blocks' slots.
+  std::vector<Check> out(run.size(), Check::kMatch);
+  const std::size_t chunks = (run.size() + kHmacChunk - 1) / kHmacChunk;
+  parallel_for_overlapped(chunks, in_.jobs, caller_task, [&](std::size_t c) {
+    const std::size_t begin = c * kHmacChunk;
+    const std::size_t end = std::min(begin + kHmacChunk, run.size());
+    std::array<secure::DataHmacReq, kHmacChunk> reqs;
+    std::array<std::size_t, kHmacChunk> block;
+    std::array<Tag128, kHmacChunk> tags;
+    std::size_t n = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const WrittenBlock& wb = run[i];
+      const crypto::PadCounter pc =
+          counters[wb.addr / kPageSize].pad_counter(block_in_page(wb.addr));
+      if (!ecc_admits(wb, pc)) {
+        out[i] = Check::kEccRejected;
+        continue;
+      }
+      reqs[n] = {&wb.ciphertext, wb.addr, pc};
+      block[n++] = i;
+    }
+    in_.cme->data_hmac_many({reqs.data(), n}, {tags.data(), n});
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!(tags[j] == run[block[j]].stored_dh)) {
+        out[block[j]] = Check::kHmacMismatch;
+      }
+    }
+  });
+  return out;
+}
+
 std::vector<Addr> RecoveryManager::verify_data_hmacs() const {
   const nvm::NvmLayout& layout = *in_.layout;
+  std::vector<CounterBlock> counters(layout.num_pages());
   std::vector<Addr> bad;
-  std::vector<CounterBlock> counters;
-  std::vector<WrittenBlock> run;
-  std::vector<secure::DataHmacReq> reqs;
-  std::vector<Tag128> tags;
-  for (std::uint64_t first = 0; first < layout.num_pages();
-       first += kRunPages) {
-    const std::uint64_t end = std::min(first + kRunPages, layout.num_pages());
-    counters.clear();
-    run.clear();
-    for (std::uint64_t leaf = first; leaf < end; ++leaf) {
-      counters.push_back(persisted_counters(leaf));
-      scan_page(leaf, run);
-    }
-    reqs.clear();
-    for (const WrittenBlock& wb : run) {
-      const CounterBlock& cb = counters[wb.addr / kPageSize - first];
-      reqs.push_back({&wb.ciphertext, wb.addr,
-                      cb.pad_counter(block_in_page(wb.addr))});
-    }
-    tags.resize(reqs.size());
-    data_hmacs(reqs, tags);
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      if (!(tags[i] == run[i].stored_dh)) bad.push_back(run[i].addr);
-    }
-  }
+  pipeline_runs(
+      [&](std::uint64_t first, std::vector<WrittenBlock>& run) {
+        const std::uint64_t end =
+            std::min(first + kRunPages, layout.num_pages());
+        for (std::uint64_t leaf = first; leaf < end; ++leaf) {
+          counters[leaf] = persisted_counters(leaf);
+          scan_page(leaf, run);
+        }
+      },
+      [&](std::span<const WrittenBlock> run,
+          const std::function<void()>& scan_next) {
+        const std::vector<Check> checks = check_run(run, counters, scan_next);
+        for (std::size_t i = 0; i < run.size(); ++i) {
+          if (checks[i] != Check::kMatch) bad.push_back(run[i].addr);
+        }
+      });
   return bad;
+}
+
+void RecoveryManager::pipeline_runs(
+    const std::function<void(std::uint64_t, std::vector<WrittenBlock>&)>&
+        scan,
+    const std::function<void(std::span<const WrittenBlock>,
+                             const std::function<void()>&)>& search) const {
+  const std::uint64_t pages = in_.layout->num_pages();
+  std::array<std::vector<WrittenBlock>, 2> runs;
+  scan(0, runs[0]);
+  std::size_t r = 0;
+  for (std::uint64_t first = 0; first < pages; first += kRunPages, r ^= 1) {
+    const std::uint64_t next = first + kRunPages;
+    search(runs[r], [&] {
+      runs[r ^ 1].clear();
+      if (next < pages) scan(next, runs[r ^ 1]);
+    });
+  }
 }
 
 struct RecoveryManager::LevelPersistedPreset {
@@ -181,46 +241,64 @@ RecoveryManager::CounterRecovery RecoveryManager::recover_counters() const {
   out.blocks.resize(layout.num_pages());
 
   // Pages go in runs: a run's written blocks are read once, then searched
-  // in batched waves (search_counters). Waves find failures out of address
-  // order, so they are sorted at the end: the report lists them by address.
-  std::vector<WrittenBlock> run;
+  // in batched waves (search_counters), whose first wave runs while the
+  // calling thread scans the next run. The overflow page is searched
+  // during its run's scan, on the calling thread, since it writes the
+  // image. Waves find failures out of address order, so they are sorted
+  // at the end: the report lists them by address.
   std::vector<WrittenBlock> overflow_page;
-  for (std::uint64_t first = 0; first < layout.num_pages();
-       first += kRunPages) {
-    const std::uint64_t end = std::min(first + kRunPages, layout.num_pages());
-    run.clear();
-    for (std::uint64_t leaf = first; leaf < end; ++leaf) {
-      out.blocks[leaf] = persisted_counters(leaf);
-      if (in_.tcb.overflow_pending && in_.tcb.overflow_leaf == leaf) {
-        overflow_page.clear();
-        scan_page(leaf, overflow_page);
-        recover_overflow_page(leaf, overflow_page, out);
-        continue;
-      }
-      scan_page(leaf, run);
-    }
-    search_counters(run, out);
-  }
+  pipeline_runs(
+      [&](std::uint64_t first, std::vector<WrittenBlock>& run) {
+        const std::uint64_t end =
+            std::min(first + kRunPages, layout.num_pages());
+        for (std::uint64_t leaf = first; leaf < end; ++leaf) {
+          out.blocks[leaf] = persisted_counters(leaf);
+          if (in_.tcb.overflow_pending && in_.tcb.overflow_leaf == leaf) {
+            overflow_page.clear();
+            scan_page(leaf, overflow_page);
+            recover_overflow_page(leaf, overflow_page, out);
+            continue;
+          }
+          scan_page(leaf, run);
+        }
+      },
+      [&](std::span<const WrittenBlock> run,
+          const std::function<void()>& scan_next) {
+        search_counters(run, out, scan_next);
+      });
   std::sort(out.failed_blocks.begin(), out.failed_blocks.end());
   return out;
 }
 
-void RecoveryManager::search_counters(std::span<const WrittenBlock> run,
-                                      CounterRecovery& out) const {
+void RecoveryManager::search_counters(
+    std::span<const WrittenBlock> run, CounterRecovery& out,
+    const std::function<void()>& scan_next) const {
   // Candidate counters per block in increment order: the persisted minor
   // and up to N steps forward (N bounds per-line staleness via the
   // update-limit drain trigger). Wave k tries candidate k of every block
   // still unmatched, so per block the candidates, the first match and the
   // retry count are those of a one-block-at-a-time search; only the
   // interleaving across blocks differs, and each wave is one batch across
-  // the SIMD lanes. In a crash image almost every block matches in wave 0.
-  std::vector<std::size_t> pending(run.size());
-  for (std::size_t i = 0; i < run.size(); ++i) pending[i] = i;
+  // the SIMD lanes. In a crash image almost every block matches in wave 0,
+  // where a match changes nothing, so wave 0 is check_run's alone; the
+  // blocks it leaves go on in the wave loop, ECC rejects first, as that
+  // loop would have queued them.
+  const std::vector<Check> wave0 = check_run(run, out.blocks, scan_next);
+  // Wave 0 ran the ECC filter on every block with a side band.
+  out.ecc_checks += static_cast<std::uint64_t>(
+      std::count_if(run.begin(), run.end(),
+                    [](const WrittenBlock& wb) { return wb.has_ecc; }));
+  std::vector<std::size_t> pending;
+  for (const Check miss : {Check::kEccRejected, Check::kHmacMismatch}) {
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      if (wave0[i] == miss) pending.push_back(i);
+    }
+  }
   std::vector<std::size_t> tried;
   std::vector<std::size_t> next;
   std::vector<secure::DataHmacReq> reqs;
   std::vector<Tag128> tags;
-  for (std::uint64_t k = 0; !pending.empty() && k <= in_.update_limit; ++k) {
+  for (std::uint64_t k = 1; !pending.empty() && k <= in_.update_limit; ++k) {
     tried.clear();
     next.clear();
     reqs.clear();
@@ -233,16 +311,10 @@ void RecoveryManager::search_counters(std::span<const WrittenBlock> run,
         continue;
       }
       const crypto::PadCounter cand{cb.major, minor};
-      if (wb.has_ecc) {
-        // Osiris: cheap plaintext-ECC filter before the HMAC authority.
-        ++out.ecc_checks;
-        const Line guess = in_.cme->crypt(wb.ciphertext, wb.addr, cand);
-        secure::EccBits stored;
-        stored.bytes = wb.ecc;
-        if (!secure::line_matches_ecc(guess, stored)) {
-          next.push_back(i);
-          continue;
-        }
+      out.ecc_checks += wb.has_ecc ? 1 : 0;
+      if (!ecc_admits(wb, cand)) {
+        next.push_back(i);
+        continue;
       }
       reqs.push_back({&wb.ciphertext, wb.addr, cand});
       tried.push_back(i);
@@ -258,10 +330,8 @@ void RecoveryManager::search_counters(std::span<const WrittenBlock> run,
       out.blocks[wb.addr / kPageSize].minors[block_in_page(wb.addr)] =
           static_cast<std::uint8_t>(reqs[j].counter.minor);
       out.retries += k;
-      if (k > 0) {
-        out.per_block_retries[wb.addr] = k;
-        ++out.advanced;
-      }
+      out.per_block_retries[wb.addr] = k;
+      ++out.advanced;
     }
     pending.swap(next);
   }

@@ -34,6 +34,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -171,9 +172,12 @@ class RecoveryManager {
 
   /// The step-2 search over one run of pages' written blocks, whose
   /// persisted counters are already in out.blocks: wave k tries minor+k
-  /// for every block still unmatched, as one data-HMAC batch.
+  /// for every block still unmatched, as one data-HMAC batch. The calling
+  /// thread runs `scan_next` (the next run's scan) during wave 0; it may
+  /// write `out`, but not this run's blocks or counters.
   void search_counters(std::span<const WrittenBlock> run,
-                       CounterRecovery& out) const;
+                       CounterRecovery& out,
+                       const std::function<void()>& scan_next) const;
 
   /// Recovery of a page whose minor-counter overflow re-encryption was
   /// interrupted by the crash (flagged in the TCB). `written` is the
@@ -202,6 +206,32 @@ class RecoveryManager {
   /// `jobs` workers.
   void data_hmacs(std::span<const secure::DataHmacReq> reqs,
                   std::span<Tag128> out) const;
+
+  /// How a written block fared under one candidate counter.
+  enum class Check : std::uint8_t { kMatch, kEccRejected, kHmacMismatch };
+
+  /// Tries every block of `run` under its counter in `counters` (indexed
+  /// by leaf), the ECC filter first where the block has a side band, on
+  /// the pool while the calling thread runs `caller_task`
+  /// (parallel_for_overlapped). Returns each block's outcome by index.
+  std::vector<Check> check_run(std::span<const WrittenBlock> run,
+                               std::span<const secure::CounterBlock> counters,
+                               const std::function<void()>& caller_task) const;
+
+  /// Osiris's plaintext-ECC filter: false when the block carries an ECC
+  /// side band that rules `cand` out. Blocks without one always pass.
+  bool ecc_admits(const WrittenBlock& wb, crypto::PadCounter cand) const;
+
+  /// The double-buffered page-run loop of step 2 and the data-HMAC scan:
+  /// `scan(first, run)` appends the written blocks of the run starting at
+  /// page `first` to `run`, and `search(run, scan_next)` gets each run in
+  /// page order with the scan of the next run, to run on the calling
+  /// thread while the pool hashes this one.
+  void pipeline_runs(
+      const std::function<void(std::uint64_t, std::vector<WrittenBlock>&)>&
+          scan,
+      const std::function<void(std::span<const WrittenBlock>,
+                               const std::function<void()>&)>& search) const;
 
   secure::CounterBlock persisted_counters(std::uint64_t leaf) const;
 

@@ -78,8 +78,9 @@ SecureKvStore SecureKvStore::open(core::SecureNvmBase& nvm,
   // batch-shaped work. Chunking through read_blocks lets the engine
   // decrypt and verify a whole chunk in SIMD lanes across the worker pool,
   // which is what the recovery/open_scan_rebuild_ms headline metric
-  // measures. 1024 headers per chunk amortize each pool dispatch.
-  constexpr std::uint64_t kScanChunk = 1024;
+  // measures. read_blocks verifies a 4096-header chunk as four 1024-header
+  // sub-batches, each while it fetches the next.
+  constexpr std::uint64_t kScanChunk = 4096;
   std::vector<Addr> scan_addrs;
   for (std::size_t sh = 0; sh < config.shards; ++sh) {
     Shard& shard = s.shards_[sh];

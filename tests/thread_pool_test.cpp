@@ -1,10 +1,11 @@
 // The deterministic parallel job executor: bit-identical results for any
 // worker count, index-ordered exception reporting, the inline
-// single-worker and nested paths, and the persistent worker pool behind
-// them.
+// single-worker and nested paths, the persistent worker pool behind
+// them, and the overlapped form whose caller runs its own task first.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -177,6 +178,106 @@ TEST(ThreadPoolTest, LowestIndexExceptionWinsOnThePool) {
       FAIL() << "must rethrow";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "17");
+    }
+  }
+}
+
+TEST(ThreadPoolTest, OverlappedTaskRunsOnceOnTheCallingThread) {
+  const auto caller = std::this_thread::get_id();
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4},
+                                    std::size_t{0}}) {
+    for (const std::size_t count : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{300}}) {
+      int task_runs = 0;
+      std::vector<std::atomic<int>> hits(count);
+      parallel_for_overlapped(
+          count, workers,
+          [&] {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            ++task_runs;
+          },
+          [&](std::size_t i) { ++hits[i]; });
+      EXPECT_EQ(task_runs, 1) << "workers=" << workers << " count=" << count;
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "workers=" << workers << " count=" << count << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, OverlappedIndicesRunWhileTheTaskRuns) {
+  if (parallel_pool_size() == 0) GTEST_SKIP() << "one core: no helpers";
+  // The task waits (bounded) for a helper to finish the only index: the
+  // overlap is real, not task-then-indices. A single index still goes to
+  // the pool, because the caller is busy with its task.
+  const std::uint64_t before = parallel_pool_dispatches();
+  std::atomic<bool> ran{false};
+  bool seen_during_task = false;
+  parallel_for_overlapped(
+      1, 0,
+      [&] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!ran.load() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        seen_during_task = ran.load();
+      },
+      [&](std::size_t) { ran = true; });
+  EXPECT_TRUE(seen_during_task);
+  EXPECT_EQ(parallel_pool_dispatches(), before + 1);
+}
+
+TEST(ThreadPoolTest, OverlappedRunsInlineInAFixedOrder) {
+  // One worker, or a call from inside a parallel job: the task first,
+  // then the indices in order, all on the calling thread, and the pool
+  // is not dispatched.
+  const auto run = [](std::size_t workers) {
+    std::vector<int> order;
+    const auto caller = std::this_thread::get_id();
+    parallel_for_overlapped(
+        5, workers, [&] { order.push_back(-1); },
+        [&](std::size_t i) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          order.push_back(static_cast<int>(i));
+        });
+    return order;
+  };
+  const std::vector<int> want = {-1, 0, 1, 2, 3, 4};
+  const std::uint64_t before = parallel_pool_dispatches();
+  EXPECT_EQ(run(1), want);
+  EXPECT_EQ(parallel_pool_dispatches(), before);
+  std::vector<std::vector<int>> nested(8);
+  parallel_for(nested.size(), 0,
+               [&](std::size_t o) { nested[o] = run(0); });
+  for (const std::vector<int>& order : nested) EXPECT_EQ(order, want);
+}
+
+TEST(ThreadPoolTest, OverlappedRethrowsTheLowestIndexBeforeTheTask) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{0}}) {
+    for (int round = 0; round < 10; ++round) {
+      std::atomic<int> ran{0};
+      try {
+        parallel_for_overlapped(
+            256, workers, [] { throw std::runtime_error("task"); },
+            [&](std::size_t i) {
+              ++ran;
+              if (i % 61 == 17) throw std::runtime_error(std::to_string(i));
+            });
+        FAIL() << "must rethrow";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "17") << "workers=" << workers;
+      }
+      EXPECT_GE(ran.load(), 18) << "the indices run despite the task's throw";
+    }
+    try {
+      parallel_for_overlapped(
+          64, workers, [] { throw std::runtime_error("task"); },
+          [](std::size_t) {});
+      FAIL() << "must rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task") << "workers=" << workers;
     }
   }
 }
