@@ -67,6 +67,23 @@ void KvModel::ack(std::size_t thread) {
   in_flight_.erase(it);
 }
 
+std::vector<store::SecureKvStore> open_shard_stores(
+    const std::vector<core::SecureNvmBase*>& engines,
+    const store::StoreConfig& config) {
+  std::vector<store::SecureKvStore> stores;
+  stores.reserve(engines.size());
+  for (std::size_t s = 0; s < engines.size(); ++s) {
+    stores.push_back(store::SecureKvStore::open(
+        *engines[s], config,
+        [&stores, s](std::uint64_t txn_id, std::uint32_t coordinator) {
+          return coordinator < s &&
+                 stores[coordinator].last_txn_decision() ==
+                     std::optional<std::uint64_t>(txn_id);
+        }));
+  }
+  return stores;
+}
+
 std::vector<std::optional<std::string>> check_reopened(
     const KvModel& model, const std::vector<ReopenedStore>& stores) {
   // Read every key exactly once; the verdicts below judge these reads.

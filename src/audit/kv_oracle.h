@@ -1,8 +1,9 @@
 // The KV crash oracle: what a killed KV workload may leave behind.
 //
-// Every KV crash harness — crashd's three kill-9 families, the in-process
-// KV crash sweep and the crash fuzzer — holds a reopened store to the
-// same contract (§4.2-§4.4 lifted to the application):
+// Every KV crash harness — crashd's kill-9 families, the in-process KV
+// crash sweep, the crash fuzzer and the txn fuzzer's crash cases — holds
+// a reopened store to the same contract (§4.2-§4.4 lifted to the
+// application):
 //   * every acknowledged unit reads back exactly;
 //   * each client thread has at most one unacknowledged unit in flight at
 //     the crash, and it surfaces all-or-nothing — a unit is one operation
@@ -10,8 +11,9 @@
 //     state, never a third one";
 //   * an erased or never-written key stays absent, and no store holds an
 //     entry outside the keyspace (zero spurious survivors).
-// The three parts below are that contract, written once: the op draw the
-// harnesses replay, the acked-state model, and the reopened-store check.
+// The parts below are that contract, written once: the op draw the
+// harnesses replay, the acked-state model, the shard-ordered store
+// reopen, and the reopened-store check.
 #pragma once
 
 #include <cstddef>
@@ -78,6 +80,16 @@ struct ReopenedStore {
   store::SecureKvStore* kv = nullptr;
   std::vector<std::string> keys;
 };
+
+/// Opens the store of every recovered shard engine of a sharded KV
+/// service, in shard order, resolving each prepared cross-shard txn
+/// against its coordinator's decision line. A txn's coordinator is its
+/// lowest participant, so that line is open before any other
+/// participant's journal asks for it; a self-coordinated txn whose own
+/// decision line already failed to answer is undecided: presumed abort.
+std::vector<store::SecureKvStore> open_shard_stores(
+    const std::vector<core::SecureNvmBase*>& engines,
+    const store::StoreConfig& config);
 
 /// Holds reopened stores to `model` under the contract above: reads every
 /// key once (store-major, in key order), resolves each in-flight unit

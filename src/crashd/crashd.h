@@ -23,10 +23,15 @@
 //   * on attack scenarios, a deliberately corrupted data line in the
 //     image is detected AND located per §4.4.
 //
-// Three scenario families share that machinery and differ only in their
-// Scenario, its derivation and the client body: single-threaded (one
-// SecureKvStore), service (KvService client threads) and txn (multi-key
-// transactions over a two-shard KvService).
+// One Scenario describes every run. Its family picks the client body:
+// single-threaded (one SecureKvStore), service (KvService client threads)
+// or txn (multi-key transactions over a two-shard KvService). Its kill is
+// one pair, an event kind and a target: the worker counts the events of
+// that kind and dies at the target-th one. The verifier opens a
+// multi-shard run's stores in shard order, resolving prepared txns
+// against the coordinator's decision line (audit::open_shard_stores), so
+// the oracle's unit there is a whole txn: acknowledged txns read back in
+// full, an unacknowledged one is never partially applied.
 //
 // Why SIGKILL is honest here: stores into a MAP_SHARED mapping live in
 // the kernel page cache the moment they retire; SIGKILL cannot undo
@@ -42,40 +47,79 @@
 // `ccnvm crashd worker/verify --seed=S --index=I`.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "audit/kv_oracle.h"
+#include "common/rng.h"
 #include "core/design.h"
 #include "core/protocol_observer.h"
+#include "service/kv_service.h"
 
 namespace ccnvm::crashd {
 
 enum class Family { kSingle, kService, kTxn };
 
-// ---- Single-threaded family --------------------------------------------
-
-/// When (if at all) the worker raises SIGKILL on itself.
-enum class KillMode {
-  kNone,        // run to a clean quiesced shutdown
-  kOpBoundary,  // after acknowledging operation `kill_op`
-  kBeforeAck,   // after *applying* operation `kill_op`, before its ack
-  kDrainPhase,  // inside drain #target_drain at `phase` (§4.2 window)
-  kAttack,      // clean run; the verifier then corrupts the image
+/// The events a worker can die at. Every kill fires between complete
+/// line writes, so the image holds a prefix of the program's writes:
+///   * single family: on its one client thread, or inside a drain at one
+///     of the §4.2 crash windows (CcNvmDesign's power-loss hook fires at
+///     the exact armed point);
+///   * service family: at the drain worker's safe points, with the client
+///     threads at arbitrary progress — queued, mid-batch, or applied and
+///     barriered but not yet acknowledged. Only one drain worker may
+///     touch NVM, so these scenarios run one shard;
+///   * txn family: on the client thread driving a commit that spans both
+///     shards, at a 2PC wave boundary. The committing txn holds BOTH
+///     shards' admission locks across its waves, so every drain worker is
+///     parked on an empty queue (a single-shard txn's waves would leave
+///     the other worker live, so they are not counted).
+enum class KillEvent {
+  kNone,       // no kill: run to a clean quiesced shutdown
+  kOpApplied,  // single: an op was applied, before its ack
+  kOpAcked,    // single: an op was acknowledged
+  kDrainArm,   // single: the kill lands in drain #target, see Scenario::phase
+  kApplied,    // service: the drain worker applied a request, pre-barrier
+  kBarrier,    // service: a batch's barrier, before its acks
+  kWave,       // txn: wave Scenario::wave of a both-shard commit is acked
 };
 
+/// Die at the target-th (1-based) event of `event`'s kind, counted over
+/// every thread. A target past the run's end degrades to a clean run.
+/// kDrainArm arms Scenario::phase at the first op boundary after
+/// target-1 drains have committed.
+struct Kill {
+  KillEvent event = KillEvent::kNone;
+  std::uint64_t target = 0;
+};
+
+/// One scenario of any family, fully derived from (sweep_seed, index):
+/// worker and verifier — different processes — replay it identically.
 struct Scenario {
-  core::DesignKind kind = core::DesignKind::kCcNvm;
+  Family family = Family::kSingle;
+  /// Design kind, shard count, per-shard design and store geometry and
+  /// the group-commit policy. The single family runs its one engine
+  /// without a KvService; KvService::engine_design_config over this is
+  /// the per-shard design of the service families.
+  service::ServiceConfig engines;
   core::DrainTrigger trigger = core::DrainTrigger::kExplicit;
-  KillMode kill = KillMode::kNone;
-  core::DrainCrashPoint phase = core::DrainCrashPoint::kNone;
-  /// kDrainPhase: arm once `target_drain` drains have already committed,
-  /// so the kill lands in the (target_drain+1)-th drain of the run.
-  std::uint64_t target_drain = 0;
-  std::size_t kill_op = 0;  // kOpBoundary / kBeforeAck
-  std::size_t ops = 0;
-  std::uint64_t workload_seed = 0;
-  std::uint32_t persist_level = 1;  // Triad-NVM frontier (pin only)
+  std::size_t threads = 1;  // one client thread and ack log each
+  std::size_t units = 0;    // per thread; a unit is one op or one txn
+  Kill kill;
+  core::DrainCrashPoint phase = core::DrainCrashPoint::kNone;  // kDrainArm
+  /// kWave: 0 = prepares acked (before the decision), 1 = decision acked
+  /// (before the finalizes), 2 = finalizes acked (before the client's ack
+  /// byte).
+  int wave = 0;
+  bool attack = false;  // clean run; the verifier then corrupts the image
+  std::vector<std::string> keyspace;
+  std::vector<std::uint64_t> thread_seeds;
+  /// Draws thread t's next unit; worker and verifier both replay it.
+  std::function<audit::KvUnit(Rng&, std::size_t t, std::uint64_t& put_tag)>
+      draw;
 };
 
 /// Pins every scenario of the single-threaded family to one design —
@@ -93,116 +137,17 @@ struct DesignPin {
 /// sweep demand — the in-process matrix covers them).
 bool parse_design_pin(const std::string& name, DesignPin& pin);
 
-/// The deterministic scenario for (sweep_seed, index) — the single
-/// source both processes derive from. A pin overrides only the design
-/// (and remaps drain-window kills, which need a draining design, to a
-/// deterministic op-boundary kill); the op stream, kill density and
-/// workload seeds stay identical across pins so sweeps are comparable.
-Scenario derive_scenario(std::uint64_t sweep_seed, std::uint64_t index,
-                         const DesignPin* pin = nullptr);
+/// The deterministic scenario (sweep_seed, index) of `family`. Each
+/// family draws from its own seed salt in its own order. A pin (single
+/// family only) overrides only the design, and remaps drain-window kills,
+/// which need a draining design, to a deterministic op-boundary kill; the
+/// op stream, kill density and workload seeds stay identical across pins
+/// so sweeps are comparable.
+Scenario derive_scenario(Family family, std::uint64_t sweep_seed,
+                         std::uint64_t index, const DesignPin* pin = nullptr);
 
+/// One-line description: the design, workload shape and kill point.
 std::string describe(const Scenario& scenario);
-
-// ---- Service family ----------------------------------------------------
-//
-// The multithreaded sibling of the family above: the worker process runs
-// a service::KvService (per-shard MPSC queues, group-commit drain
-// workers) with several blocking client threads, and SIGKILL lands while
-// requests are in flight across all of them — queued, mid-batch, or
-// applied-and-barriered but not yet acknowledged. Kills fire from the
-// drain worker's safe-point hooks (between complete store operations),
-// preserving the line-write-boundary kill discipline the file comment
-// above argues for. The oracle then holds the union of the reopened
-// shards to the service's ack-after-barrier contract.
-
-/// When (if at all) the service worker dies. All kills fire at drain-
-/// worker safe points, with the client threads at arbitrary progress.
-enum class ServiceKill {
-  kNone,          // clean quiesced shutdown (may use multiple shards)
-  kMidBatch,      // after the kill_target-th applied request, pre-barrier
-  kAfterBarrier,  // after the kill_target-th barrier, before its acks
-};
-
-struct ServiceScenario {
-  core::DesignKind kind = core::DesignKind::kCcNvm;
-  core::DrainTrigger trigger = core::DrainTrigger::kExplicit;
-  std::size_t shards = 1;  // kill scenarios always 1 (see run_service_worker)
-  std::size_t threads = 2;
-  std::size_t ops_per_thread = 16;
-  std::size_t max_batch = 8;
-  std::uint32_t max_delay_us = 0;  // group-commit straggler gap
-  ServiceKill kill = ServiceKill::kNone;
-  /// kMidBatch: global applied-request count; kAfterBarrier: global
-  /// barrier count. A target past the run's end degrades to a clean run.
-  std::uint64_t kill_target = 0;
-  std::uint64_t workload_seed = 0;
-};
-
-/// The deterministic service scenario for (sweep_seed, index).
-ServiceScenario derive_service_scenario(std::uint64_t sweep_seed,
-                                        std::uint64_t index);
-
-std::string describe(const ServiceScenario& scenario);
-
-// ---- Txn family --------------------------------------------------------
-//
-// Kill-9 sweeps for the multi-key transaction protocol (see
-// KvService::submit_txn): client threads issue a mix of single ops and
-// 2-4-op transactions against a TWO-shard service, and SIGKILL lands at a
-// 2PC wave boundary of a commit that spans both shards — after the
-// prepare barriers, after the coordinator's decision barrier, or after
-// the finalize barriers. These are exactly the windows where a
-// distributed commit can tear, and they are also legitimate kill points:
-// the committing txn holds BOTH shards' admission locks across its waves,
-// so when its wave hook fires on the client thread every drain worker is
-// parked on an empty queue — no line write can be caught halfway. (So the
-// hook fires on both-shard commits only: a single-shard txn's waves leave
-// the other shard's worker live.)
-//
-// The verifier reopens shard 0 first — the coordinator of every
-// cross-shard txn (lowest participant) — then shard 1 with a TxnResolver
-// over shard 0's decision line. The oracle's unit is here a whole txn:
-// acknowledged txns read back in full, an unacknowledged one is never
-// partially applied.
-
-/// When (if at all) the txn worker dies. Always fires on the client
-/// thread driving a both-shard commit, at a wave boundary.
-enum class TxnKill {
-  kNone,    // clean quiesced shutdown
-  kAtWave,  // at wave `kill_wave` of the kill_target-th both-shard commit
-};
-
-/// Shard count is fixed at 2 for the whole family (the smallest count
-/// with a distributed commit; also the only one where a both-shard txn's
-/// locks silence EVERY drain worker, making wave kills safe).
-struct TxnScenario {
-  core::DesignKind kind = core::DesignKind::kCcNvm;
-  core::DrainTrigger trigger = core::DrainTrigger::kExplicit;
-  std::size_t threads = 2;             // 2..4 client threads
-  std::size_t actions_per_thread = 8;  // each = one single op or one txn
-  std::size_t max_batch = 8;
-  std::uint32_t max_delay_us = 0;
-  TxnKill kill = TxnKill::kNone;
-  /// kAtWave: 0 = prepares acked (before the decision), 1 = decision
-  /// acked (before the finalizes), 2 = finalizes acked (before the
-  /// client's ack byte).
-  int kill_wave = 0;
-  /// kAtWave: ordinal of the both-shard wave event that dies. A target
-  /// past the run's end degrades to a clean run.
-  std::uint64_t kill_target = 0;
-  std::uint64_t workload_seed = 0;
-};
-
-/// The deterministic txn scenario for (sweep_seed, index).
-TxnScenario derive_txn_scenario(std::uint64_t sweep_seed,
-                                std::uint64_t index);
-
-std::string describe(const TxnScenario& scenario);
-
-// ---- Shared worker, verifier and sweep ---------------------------------
-
-/// One-line description of scenario (sweep_seed, index) of `family`.
-/// `pin` (single family only, see parse_design_pin) overrides the design.
 std::string describe(Family family, std::uint64_t sweep_seed,
                      std::uint64_t index, const DesignPin* pin = nullptr);
 
@@ -215,7 +160,6 @@ std::string describe(Family family, std::uint64_t sweep_seed,
 int run_worker(Family family, const std::string& image_path,
                std::uint64_t sweep_seed, std::uint64_t index,
                const DesignPin* pin = nullptr);
-
 struct VerifyResult {
   bool ok = false;
   std::string message;       // on failure

@@ -33,28 +33,6 @@ using audit::kSweepCrashPoints;
 using audit::kSweepPages;
 using audit::kSweepTriggers;
 
-/// Backs a case's NvmImage with a real mmap'ed file. The file is
-/// mkstemp'ed and immediately unlinked (FileBackend keeps the mapping
-/// alive through the fd), so even an aborted campaign leaves nothing
-/// behind; SyncMode::kNone because these cases simulate power loss
-/// in-process — durability across a host kill is crashd's job.
-std::unique_ptr<nvm::Backend> make_file_backend(std::uint64_t capacity_bytes) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): getenv only reads, and the
-  // fuzz workers never call setenv; a stale read would only move TMPDIR
-  const char* tmp = std::getenv("TMPDIR");
-  std::string tmpl =
-      std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
-      "/ccnvm-fuzz-XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  const int fd = ::mkstemp(buf.data());
-  CCNVM_CHECK_MSG(fd >= 0, "crash fuzz: mkstemp failed");
-  ::close(fd);  // FileBackend::create reopens and truncates the path
-  return nvm::FileBackend::create(buf.data(), capacity_bytes,
-                                  nvm::FileBackend::SyncMode::kNone,
-                                  /*unlink_after_create=*/true);
-}
-
 /// Random address whose distribution still fires `trigger`: spread-out
 /// pages for DAQ pressure / evictions, one hammered line (plus fodder)
 /// for the update limit.
@@ -66,6 +44,23 @@ Addr crash_addr(core::DrainTrigger trigger, Rng& rng) {
 }
 
 }  // namespace
+
+std::unique_ptr<nvm::Backend> make_file_backend(std::uint64_t capacity_bytes) {
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): getenv only reads, and the
+  // fuzz workers never call setenv; a stale read would only move TMPDIR
+  const char* tmp = std::getenv("TMPDIR");
+  std::string tmpl =
+      std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
+      "/ccnvm-fuzz-XXXXXX";
+  std::vector<char> buf(tmpl.begin(), tmpl.end());
+  buf.push_back('\0');
+  const int fd = ::mkstemp(buf.data());
+  CCNVM_CHECK_MSG(fd >= 0, "fuzz: mkstemp failed");
+  ::close(fd);  // FileBackend::create reopens and truncates the path
+  return nvm::FileBackend::create(buf.data(), capacity_bytes,
+                                  nvm::FileBackend::SyncMode::kNone,
+                                  /*unlink_after_create=*/true);
+}
 
 CaseOutcome run_crash_case(std::uint64_t case_seed, std::size_t max_ops,
                            core::CcNvmDesign::ProtocolMutation planted_bug,

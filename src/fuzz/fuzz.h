@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -41,6 +42,7 @@
 
 #include "common/rng.h"
 #include "core/cc_nvm.h"
+#include "nvm/backend.h"
 
 namespace ccnvm::fuzz {
 
@@ -154,6 +156,13 @@ std::size_t minimize_failure(Engine engine, std::uint64_t case_seed,
                              bool planted_torn_txn = false);
 
 namespace detail {
+/// Backs a case's NvmImage with a real mmap'ed file (`--backend=file`).
+/// The file is mkstemp'ed and immediately unlinked (FileBackend keeps the
+/// mapping alive through the fd), so even an aborted campaign leaves
+/// nothing behind; SyncMode::kNone because the cases simulate power loss
+/// in-process — durability across a host kill is crashd's job.
+std::unique_ptr<nvm::Backend> make_file_backend(std::uint64_t capacity_bytes);
+
 // Per-engine case bodies (throw CheckFailure on violated expectations).
 CaseOutcome run_differential_case(std::uint64_t case_seed,
                                   std::size_t max_ops);

@@ -17,18 +17,16 @@
 // both oracles from fuzz/txn_history.h (DSG cycle search + serial
 // replay against the final store state). Crash cases cut power
 // mid-protocol — between steps or inside a store txn call via the
-// TxnCrashPhase hook — then recover, reopen shard 0 first (it
-// coordinates every cross-shard txn) and shard 1 with a resolver over
-// shard 0's decision line, and assert every acked txn fully present and
-// every in-flight txn all-or-nothing.
-
-#include <unistd.h>
+// TxnCrashPhase hook — then recover, reopen the shards in shard order
+// (audit::open_shard_stores: shard 1 resolves its prepared txns against
+// shard 0's decision line) and hold them to the KV crash oracle
+// (audit::check_reopened): every acked txn fully present, every
+// in-flight txn all-or-nothing, no spurious entries.
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
@@ -37,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "audit/kv_oracle.h"
 #include "audit/sweep_shape.h"
 #include "common/check.h"
 #include "common/rng.h"
@@ -44,7 +43,6 @@
 #include "core/design.h"
 #include "fuzz/fuzz.h"
 #include "fuzz/txn_history.h"
-#include "nvm/file_backend.h"
 #include "service/kv_service.h"
 #include "store/kv_store.h"
 #include "store/ycsb_runner.h"
@@ -69,13 +67,15 @@ store::StoreConfig txn_store_config() {
   return cfg;
 }
 
-std::string key_name(std::uint64_t i) { return "tx-" + std::to_string(i); }
-
 /// Committed values carry their writer: "t<txn id>:<key>". The history
 /// checker needs exact read-observation attribution, and the crash
 /// verifier needs applied-or-not to be unambiguous per key.
 std::string value_tag(std::uint64_t txn_id, std::string_view key) {
-  return "t" + std::to_string(txn_id) + ":" + std::string(key);
+  std::string tag = "t";
+  tag += std::to_string(txn_id);
+  tag += ':';
+  tag += key;
+  return tag;
 }
 
 std::optional<std::uint64_t> writer_of(std::string_view value) {
@@ -90,22 +90,13 @@ std::optional<std::uint64_t> writer_of(std::string_view value) {
   return id;
 }
 
-/// Same mkstemp-and-unlink file backing the crash engine uses (see
-/// crash_engine.cpp): real mmap'ed media, nothing left behind.
-std::unique_ptr<nvm::Backend> make_file_backend(std::uint64_t capacity_bytes) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): getenv only reads
-  const char* tmp = std::getenv("TMPDIR");
-  std::string tmpl =
-      std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
-      "/ccnvm-fuzz-XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  const int fd = ::mkstemp(buf.data());
-  CCNVM_CHECK_MSG(fd >= 0, "txn fuzz: mkstemp failed");
-  ::close(fd);
-  return nvm::FileBackend::create(buf.data(), capacity_bytes,
-                                  nvm::FileBackend::SyncMode::kNone,
-                                  /*unlink_after_create=*/true);
+/// A history or plan op as the KV crash oracle's op (reads change nothing).
+audit::KvOp kv_op(TxnOpRec::Kind kind, const std::string& key,
+                  const std::string& value) {
+  return {kind == TxnOpRec::Kind::kWrite   ? audit::KvOpKind::kPut
+          : kind == TxnOpRec::Kind::kErase ? audit::KvOpKind::kErase
+                                           : audit::KvOpKind::kGet,
+          key, kind == TxnOpRec::Kind::kWrite ? value : ""};
 }
 
 struct PlanOp {
@@ -137,6 +128,7 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
   CaseOutcome out;
   Rng rng(case_seed);
   const store::StoreConfig cfg = txn_store_config();
+  const std::vector<std::string> keys = audit::numbered_keys("tx-", kKeys);
 
   const core::DesignKind kind = kCcSweepKinds[rng.below(kCcSweepKinds.size())];
   std::vector<std::unique_ptr<core::SecureNvmDesign>> designs;
@@ -200,13 +192,13 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
     forged.id = next_txn_id++;
     forged.committed = true;
     forged.commit_seq = ++next_commit_seq;
-    const std::array<std::string, 2> keys = {"tx-pb-0", "tx-pb-1"};
-    for (const std::string& k : keys) {
+    const std::array<std::string, 2> planted = {"tx-pb-0", "tx-pb-1"};
+    for (const std::string& k : planted) {
       forged.ops.push_back(TxnOpRec{TxnOpRec::Kind::kWrite, k,
                                     value_tag(forged.id, k), std::nullopt});
     }
-    const std::size_t s = service::KvService::shard_of(keys[0], kShards);
-    CCNVM_CHECK_MSG(stores[s].put(keys[0], value_tag(forged.id, keys[0])),
+    const std::size_t s = service::KvService::shard_of(planted[0], kShards);
+    CCNVM_CHECK_MSG(stores[s].put(planted[0], value_tag(forged.id, planted[0])),
                     "txn fuzz: planted put rejected");
     history.push_back(std::move(forged));
   }
@@ -226,7 +218,7 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
     std::set<std::size_t> touched;
     std::set<std::size_t> mut;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::string key = key_name(rng.below(kKeys));
+      const std::string& key = keys[rng.below(kKeys)];
       const std::uint64_t roll = rng.below(100);
       const TxnOpRec::Kind op_kind = roll < 45   ? TxnOpRec::Kind::kWrite
                                      : roll < 75 ? TxnOpRec::Kind::kRead
@@ -406,10 +398,9 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
     return out;
   }
 
-  // Crash path: power-cut both emulated shards, recover, reopen shard 0
-  // first (every cross-shard txn's coordinator), then shard 1 resolving
-  // foreign prepared txns against shard 0's decision line — exactly what
-  // crashd's txn verifier does out of process.
+  // Crash path: power-cut both emulated shards, recover, and reopen them
+  // in shard order with the coordinator's decision line as resolver —
+  // what crashd's txn verifier does out of process.
   for (auto* cc : ccs) cc->crash_power_loss();
   ++out.crashes;
   for (auto& design : designs) {
@@ -417,100 +408,63 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
     CCNVM_CHECK_MSG(report.clean, "txn fuzz: recovery not clean");
     ++out.recoveries;
   }
-  std::vector<store::SecureKvStore> reopened;
-  reopened.reserve(kShards);
-  reopened.push_back(store::SecureKvStore::open(*bases[0], cfg));
-  reopened.push_back(store::SecureKvStore::open(
-      *bases[1], cfg,
-      [&reopened](std::uint64_t txn_id, std::uint32_t coordinator) {
-        // coordinator 1 = a self-coordinated txn whose own decision line
-        // already failed to answer — undecided, so presumed abort. Only
-        // shard-0-coordinated txns consult shard 0's decision line.
-        return coordinator == 0 &&
-               reopened[0].last_txn_decision() ==
-                   std::optional<std::uint64_t>(txn_id);
-      }));
+  std::vector<store::SecureKvStore> reopened =
+      audit::open_shard_stores(bases, cfg);
 
-  // The acked model: every committed (acked) txn's effects, serially.
-  std::map<std::string, std::string> model;
-  {
-    std::vector<const TxnRecord*> order;
-    for (const TxnRecord& t : history) {
-      if (t.committed) order.push_back(&t);
+  // The KV crash oracle's model: every committed (acked) txn — `history`
+  // holds exactly those, in commit order — then each locked client's txn
+  // as its in-flight unit (locks are per shard, so in-flight txns are
+  // key-disjoint).
+  audit::KvModel model;
+  for (const TxnRecord& t : history) {
+    audit::KvUnit unit;
+    for (const TxnOpRec& op : t.ops) {
+      unit.push_back(kv_op(op.kind, op.key, op.value));
     }
-    std::sort(order.begin(), order.end(),
-              [](const TxnRecord* a, const TxnRecord* b) {
-                return a->commit_seq < b->commit_seq;
-              });
-    for (const TxnRecord* t : order) {
-      for (const TxnOpRec& op : t->ops) {
-        if (op.kind == TxnOpRec::Kind::kWrite) {
-          model[op.key] = op.value;
-        } else if (op.kind == TxnOpRec::Kind::kErase) {
-          model.erase(op.key);
-        }
-      }
-    }
+    model.submit(std::move(unit));
+    model.ack();
   }
-
-  std::map<std::string, std::string> got;
-  for (auto& st : reopened) {
-    st.for_each([&](std::string_view k, std::string_view v) {
-      got.emplace(std::string(k), std::string(v));
-    });
-  }
-
-  // In-flight txns (locked at the crash; lock-disjoint, hence
-  // key-disjoint): each must be all-or-nothing. Applied ones join the
-  // model so the final exact-equality check covers them.
-  for (const Client& c : clients) {
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    const Client& c = clients[i];
     if (!c.in_txn || !c.locked) continue;
-    std::map<std::string, std::optional<std::string>> effect;
+    audit::KvUnit unit;
     for (const PlanOp& op : c.plan) {
-      if (op.kind == TxnOpRec::Kind::kWrite) {
-        effect[op.key] = value_tag(c.rec.id, op.key);
-      } else if (op.kind == TxnOpRec::Kind::kErase) {
-        effect[op.key] = std::nullopt;
-      }
+      unit.push_back(kv_op(op.kind, op.key, value_tag(c.rec.id, op.key)));
     }
-    std::size_t applied = 0;
-    std::size_t rolled_back = 0;
-    for (const auto& [key, new_v] : effect) {
-      const auto old_it = model.find(key);
-      const std::optional<std::string> old_v =
-          old_it == model.end() ? std::nullopt
-                                : std::optional<std::string>(old_it->second);
-      if (new_v == old_v) continue;  // erase of an absent key: unobservable
-      const auto got_it = got.find(key);
-      const std::optional<std::string> got_v =
-          got_it == got.end() ? std::nullopt
-                              : std::optional<std::string>(got_it->second);
-      if (got_v == new_v) {
-        ++applied;
-      } else if (got_v == old_v) {
-        ++rolled_back;
-      } else {
-        CCNVM_CHECK_MSG(false, "txn fuzz: in-flight txn left a third state");
-      }
-      ++out.checks;
-    }
-    CCNVM_CHECK_MSG(applied == 0 || rolled_back == 0,
-                    "txn fuzz: torn in-flight transaction after crash");
-    ++out.checks;
-    if (applied > 0) {
-      for (const auto& [key, new_v] : effect) {
-        if (new_v) {
-          model[key] = *new_v;
-        } else {
-          model.erase(key);
-        }
+    model.submit(std::move(unit), i);
+  }
+
+  std::vector<audit::ReopenedStore> keyed(kShards);
+  for (std::size_t s = 0; s < kShards; ++s) keyed[s].kv = &reopened[s];
+  for (const std::string& key : keys) {
+    keyed[service::KvService::shard_of(key, kShards)].keys.push_back(key);
+  }
+  const std::vector<std::optional<std::string>> reads =
+      audit::check_reopened(model, keyed);
+
+  // The survivors, and the keys an in-flight txn would change: together
+  // with one check per in-flight txn and one for the whole state, these
+  // are the case's crash checks.
+  audit::KvModel applied = model;
+  for (const auto& [client, unit] : model.in_flight()) applied.ack(client);
+  const auto value_in = [](const std::map<std::string, std::string>& state,
+                           const std::string& key) {
+    const auto it = state.find(key);
+    return it == state.end() ? std::nullopt
+                             : std::optional<std::string>(it->second);
+  };
+  std::map<std::string, std::string> got;
+  std::size_t r = 0;
+  for (const audit::ReopenedStore& s : keyed) {
+    for (const std::string& key : s.keys) {
+      if (reads[r]) got.emplace(key, *reads[r]);
+      ++r;
+      if (value_in(model.acked(), key) != value_in(applied.acked(), key)) {
+        ++out.checks;
       }
     }
   }
-
-  CCNVM_CHECK_MSG(got == model,
-                  "txn fuzz: reopened state diverges from the acked model");
-  out.checks += model.size() + 1;
+  out.checks += model.in_flight().size() + got.size() + 1;
 
   fold_digest(out.digest, got.size());
   for (const auto& [k, v] : got) {
