@@ -104,6 +104,38 @@ TEST(ImageIoCanonicalTest, MapAndFileBackendsSerializeIdentically) {
   std::remove(dimm.c_str());
 }
 
+TEST(ImageIoCanonicalTest, MultiPageBytesArePinned) {
+  // Lines, ECC and wear spread over several 4 KB pages and 2 MB spans,
+  // written in neither ascending nor descending order, some lines more
+  // than once. The FNV-1a of the saved file pins the canonical bytes
+  // (header, every section, every record) against any change in how
+  // the in-memory media or the wear counters store and visit them.
+  const Addr addrs[] = {(3ull << 21) + 5 * kLineSize,
+                        7 * kPageSize + 63 * kLineSize,
+                        0,
+                        (1ull << 21) + kPageSize,
+                        kLineSize,
+                        7 * kPageSize,
+                        63 * kLineSize,
+                        64 * kLineSize,
+                        (3ull << 21) + 5 * kLineSize,
+                        kLineSize,
+                        kLineSize};
+  NvmImage image;
+  std::uint64_t tag = 0;
+  for (const Addr a : addrs) image.write_line(a, pattern_line(++tag));
+  image.write_ecc(7 * kPageSize, {9, 8, 7, 6, 5, 4, 3, 2});
+  image.write_ecc(kLineSize, {1, 2, 3, 4, 5, 6, 7, 8});
+  image.write_ecc((1ull << 21) + kPageSize, {4, 4, 4, 4, 4, 4, 4, 4});
+
+  const std::string path = temp_path("pinned.img");
+  ASSERT_TRUE(save_image(path, image));
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : slurp(path)) h = (h ^ b) * 0x100000001b3ULL;
+  EXPECT_EQ(h, 0xb1a0c594ee05054aULL);
+  std::remove(path.c_str());
+}
+
 TEST(ImageIoCommitTest, SaveLeavesNoTempFileBehind) {
   const std::string path = temp_path("commit.img");
   ASSERT_TRUE(save_image(path, sample_image()));
