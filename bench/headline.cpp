@@ -29,6 +29,8 @@
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "store/kv_store.h"
+#include "store/ycsb_runner.h"
+#include "trace/ycsb.h"
 
 namespace {
 
@@ -258,6 +260,44 @@ int main(int argc, char** argv) {
                      static_cast<double>(r.stats.txns)
                : 0.0,
            "x"});
+    }
+
+    // Store load rate: direct SecureKvStore::puts into one in-memory
+    // cc-NVM engine of kvbench kv-b-large's geometry (a store sized for
+    // 65 536 ycsb-b records; one engine's half loaded). Every put is a
+    // value write-back, its metadata walk and the bucket header flip, so
+    // this prices the line path of the media (nvm::MapBackend and the
+    // wear counters) as much as the crypto.
+    {
+      constexpr std::uint64_t kRecords = 65536;
+      const std::uint32_t value_bytes =
+          trace::ycsb_by_name("ycsb-b").value_bytes;
+      const store::StoreConfig scfg =
+          store::StoreConfig::sized_for(kRecords, value_bytes, /*shards=*/1);
+      core::DesignConfig dcfg;
+      dcfg.data_capacity = store::capacity_for(scfg);
+      dcfg.update_limit = 1u << 20;
+      dcfg.daq_entries = 1024;
+      dcfg.wpq_entries = 1024;
+      auto design = core::make_design(core::DesignKind::kCcNvm, dcfg);
+      store::SecureKvStore kv(dynamic_cast<core::SecureNvmBase&>(*design),
+                              scfg);
+      std::string value(value_bytes, 'v');
+      const auto l0 = std::chrono::steady_clock::now();
+      for (std::uint64_t k = 0; k < kRecords / 2; ++k) {
+        value[k % value_bytes] = static_cast<char>('a' + k % 26);
+        if (!kv.put(trace::YcsbGenerator::key_name(k), value)) {
+          std::fprintf(stderr, "store load bench: put %llu failed\n",
+                       static_cast<unsigned long long>(k));
+          return 1;
+        }
+      }
+      const double secs = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - l0)
+                              .count();
+      doc.metrics.push_back({"throughput/kv_store_load",
+                             static_cast<double>(kRecords / 2) / secs,
+                             "puts/s"});
     }
 
     // Recovery/open cost: populate a file-backed cc-NVM store once, then

@@ -8,6 +8,9 @@
 // entries) and charges 32 cycles per lookup.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
@@ -44,12 +47,20 @@ class DirtyAddressQueue {
   /// True when all of `addrs` can be accommodated, counting duplicates of
   /// already-tracked lines as free. This is trigger condition (1): drain
   /// when there is not enough room for the next write-back's metadata.
+  /// One write-back names a counter line plus its tree path (at most 26
+  /// levels for any 4-ary layout of a 64-bit address space), so a linear
+  /// scan of a fixed array dedupes them without a heap allocation.
   bool can_accept(const std::vector<Addr>& addrs) const {
+    std::array<Addr, 32> fresh;
+    CCNVM_CHECK(addrs.size() <= fresh.size());
     std::size_t needed = 0;
-    std::unordered_set<Addr> fresh;
     for (Addr a : addrs) {
       const Addr line = line_base(a);
-      if (!members_.contains(line) && fresh.insert(line).second) ++needed;
+      const auto end = fresh.begin() + static_cast<std::ptrdiff_t>(needed);
+      if (!members_.contains(line) &&
+          std::find(fresh.begin(), end, line) == end) {
+        fresh[needed++] = line;
+      }
     }
     return needed <= free_entries();
   }

@@ -4,8 +4,8 @@
 // Backend is where those bytes actually live. The split exists so the
 // same design code can run against
 //
-//   * MapBackend            — the original heap-resident unordered_map,
-//                             fast and volatile (unit tests, sweeps);
+//   * MapBackend            — heap-resident paged slot arrays, fast and
+//                             volatile (unit tests, sweeps, benches);
 //   * FileBackend           — an mmap'ed file (file_backend.h) whose
 //                             contents survive SIGKILL of the process,
 //                             the substrate of the out-of-process kill-9
@@ -29,22 +29,22 @@
 //     persist_barrier().
 //   * clone() deep-copies the *current contents* into a volatile
 //     MapBackend-backed copy (snapshots never alias the durable file).
-//   * for_each_line / for_each_ecc visit populated slots; MapBackend's
-//     order is unspecified, FileBackend's is ascending. Consumers that
-//     need determinism across backends must sort (image_io does).
+//   * for_each_line / for_each_ecc visit populated slots in ascending
+//     address order (MapBackend and FileBackend alike), so image_io's
+//     canonical serialization needs no sort.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/annotations.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/types.h"
+#include "nvm/paged_slots.h"
 
 namespace ccnvm::nvm {
 
@@ -86,51 +86,50 @@ class Backend {
   static constexpr std::size_t kRegisterCapacity = 256;
 };
 
-/// The original heap-resident backend: sparse unordered maps, volatile.
+/// The heap-resident backend: lines and ECC in paged slot arrays
+/// (paged_slots.h), volatile.
 class MapBackend final : public Backend {
  public:
   const char* name() const override { return "map"; }
 
   bool read_line(Addr addr, Line& out) const override {
-    const auto it = lines_.find(line_base(addr));
-    if (it == lines_.end()) return false;
-    out = it->second;
+    const Line* line = lines_.find(addr);
+    if (line == nullptr) return false;
+    out = *line;
     return true;
   }
 
   void write_line(Addr addr, const Line& value) override {
-    lines_[line_base(addr)] = value;
+    lines_.at(addr) = value;
   }
 
   bool has_line(Addr addr) const override {
-    return lines_.contains(line_base(addr));
+    return lines_.find(addr) != nullptr;
   }
 
   std::size_t populated_lines() const override { return lines_.size(); }
 
   void for_each_line(
       const std::function<void(Addr, const Line&)>& fn) const override {
-    for (const auto& [addr, value] : lines_) fn(addr, value);
+    lines_.for_each(fn);
   }
 
   bool read_ecc(Addr addr, EccBytes& out) const override {
-    const auto it = ecc_.find(line_base(addr));
-    if (it == ecc_.end()) return false;
-    out = it->second;
+    const EccBytes* ecc = ecc_.find(addr);
+    if (ecc == nullptr) return false;
+    out = *ecc;
     return true;
   }
 
   void write_ecc(Addr addr, const EccBytes& value) override {
-    ecc_[line_base(addr)] = value;
+    ecc_.at(addr) = value;
   }
 
-  bool has_ecc(Addr addr) const override {
-    return ecc_.contains(line_base(addr));
-  }
+  bool has_ecc(Addr addr) const override { return ecc_.find(addr) != nullptr; }
 
   void for_each_ecc(
       const std::function<void(Addr, const EccBytes&)>& fn) const override {
-    for (const auto& [addr, value] : ecc_) fn(addr, value);
+    ecc_.for_each(fn);
   }
 
   void store_registers(const std::uint8_t* data, std::size_t len) override {
@@ -150,10 +149,12 @@ class MapBackend final : public Backend {
   }
 
  private:
-  // "Persistent" in the model's sense: these maps ARE the simulated
-  // media contents, so nvlint tracks stores to them as NVM writes.
-  CCNVM_PERSISTENT std::unordered_map<Addr, Line> lines_;
-  CCNVM_PERSISTENT std::unordered_map<Addr, EccBytes> ecc_;
+  // "Persistent" in the model's sense: these slots ARE the simulated
+  // media contents, so nvlint tracks stores to them as NVM writes. ECC
+  // has its own pages: designs write it for data lines only, so the
+  // counter, tree and DH regions carry none.
+  CCNVM_PERSISTENT PagedSlots<Line> lines_;
+  CCNVM_PERSISTENT PagedSlots<EccBytes> ecc_;
   CCNVM_PERSISTENT std::vector<std::uint8_t> registers_;
 };
 

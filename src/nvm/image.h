@@ -8,7 +8,7 @@
 // replay attacks restore lines from an earlier snapshot of it.
 //
 // Where the bytes actually live is pluggable (nvm/backend.h): the
-// default is the original heap-resident map; a file-backed image
+// default is the heap-resident paged MapBackend; a file-backed image
 // (nvm/file_backend.h) survives SIGKILL of the whole process and feeds
 // the out-of-process crash harness. NvmImage keeps the simulation-side
 // bookkeeping (write counts, wear, the write observer, the
@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/annotations.h"
@@ -32,7 +31,7 @@ namespace ccnvm::nvm {
 
 class NvmImage {
  public:
-  /// Default: volatile in-memory map, the original behaviour.
+  /// Default: volatile in-memory MapBackend.
   NvmImage() : backend_(std::make_unique<MapBackend>()) {}
 
   /// Adopts a specific media backend (file-backed, fault-injecting, ...).
@@ -78,7 +77,7 @@ class NvmImage {
     CCNVM_CHECK(is_line_aligned(addr));
     if (record_contents_) backend_->write_line(addr, value);
     ++write_count_;
-    ++wear_[addr];
+    ++wear_.at(addr);
     if (write_observer_) write_observer_(addr);
   }
 
@@ -90,14 +89,14 @@ class NvmImage {
 
   /// Lifetime write count of one line (wear accounting; see nvm/wear.h).
   std::uint64_t wear_of(Addr addr) const {
-    const auto it = wear_.find(line_base(addr));
-    return it == wear_.end() ? 0 : it->second;
+    const std::uint64_t* count = wear_.find(addr);
+    return count == nullptr ? 0 : *count;
   }
 
-  /// Visits every line ever written with its write count.
+  /// Visits every line ever written with its write count, ascending.
   template <typename Fn>
   void for_each_worn_line(Fn&& fn) const {
-    for (const auto& [addr, count] : wear_) fn(addr, count);
+    wear_.for_each(fn);
   }
 
   void reset_wear() { wear_.clear(); }
@@ -139,7 +138,7 @@ class NvmImage {
   }
   void restore_wear(Addr addr, std::uint64_t count) {
     CCNVM_CHECK(is_line_aligned(addr));
-    wear_[addr] = count;
+    wear_.at(addr) = count;
   }
 
   /// Visits every ECC side-band entry (for serialization).
@@ -157,7 +156,7 @@ class NvmImage {
   /// Always lands in a volatile map backend (Backend::clone contract).
   NvmImage snapshot() const { return *this; }
 
-  /// Visits every populated line (order unspecified; backend-dependent).
+  /// Visits every populated line in ascending address order.
   template <typename Fn>
   void for_each_line(Fn&& fn) const {
     backend_->for_each_line(
@@ -192,7 +191,8 @@ class NvmImage {
 
  private:
   CCNVM_PERSISTENT std::unique_ptr<Backend> backend_;
-  std::unordered_map<Addr, std::uint64_t> wear_;
+  // Exact lifetime write count per line, for every backend.
+  PagedSlots<std::uint64_t> wear_;
   std::function<void(Addr)> write_observer_;
   std::uint64_t write_count_ = 0;
   bool record_contents_ = true;

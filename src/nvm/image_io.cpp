@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -52,29 +51,23 @@ void sync_parent_dir(const std::string& path) {
 }  // namespace
 
 bool save_image(const std::string& path, const NvmImage& image) {
-  // Canonical record order: every section sorted by address, so two
-  // images with equal contents serialize to identical bytes no matter
-  // which backend (map or file) produced them or in what order lines
-  // were written — the backend-equivalence tests diff these files.
+  // Canonical record order: every section ascending by address, the
+  // order in which every backend and the wear counters visit (backend.h
+  // contract), so two images with equal contents serialize to identical
+  // bytes no matter which backend (map or file) produced them or in what
+  // order lines were written — the backend-equivalence tests diff these
+  // files.
   std::vector<std::pair<Addr, Line>> lines;
   lines.reserve(image.populated_lines());
   image.for_each_line(
       [&](Addr addr, const Line& value) { lines.emplace_back(addr, value); });
-  std::sort(lines.begin(), lines.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
   std::vector<std::pair<Addr, std::array<std::uint8_t, 8>>> eccs;
   image.for_each_ecc([&](Addr addr, const std::array<std::uint8_t, 8>& ecc) {
     eccs.emplace_back(addr, ecc);
   });
-  std::sort(eccs.begin(), eccs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
   std::vector<std::pair<Addr, std::uint64_t>> wear;
   image.for_each_worn_line(
       [&](Addr addr, std::uint64_t count) { wear.emplace_back(addr, count); });
-  std::sort(wear.begin(), wear.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
 
   // Crash-safe commit: write everything to a temp file, fsync it, then
   // atomically rename over the destination. A crash at any point leaves

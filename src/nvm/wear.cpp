@@ -9,7 +9,9 @@ WearSummary summarize_wear(const NvmImage& image, const NvmLayout& layout) {
   image.for_each_worn_line([&](Addr addr, std::uint64_t count) {
     s.total_writes += count;
     ++s.lines_touched;
-    if (count > s.max_line_writes) {
+    // Ties go to the lowest address, whatever order the lines come in.
+    if (count > s.max_line_writes ||
+        (count == s.max_line_writes && addr < s.hottest_line)) {
       s.max_line_writes = count;
       s.hottest_line = addr;
     }

@@ -24,6 +24,7 @@ struct WearSummary {
   std::uint64_t total_writes = 0;
   std::uint64_t lines_touched = 0;
   std::uint64_t max_line_writes = 0;
+  /// The lowest-addressed line among those written max_line_writes times.
   Addr hottest_line = 0;
 
   // Traffic by region.

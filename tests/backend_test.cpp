@@ -59,6 +59,51 @@ TEST(MapBackendTest, ReadWriteEccRegisters) {
   EXPECT_EQ(loaded[2], 7);
 }
 
+TEST(MapBackendTest, VisitsAscendingAcrossPagesAndSpans) {
+  // Out-of-order writes over one page, a neighbouring page, a far 2 MB
+  // span and a sub-line address; a rewrite must not add a line.
+  MapBackend b;
+  const Addr addrs[] = {(5ull << 21) + 0x80, 0x1040, 0xfc0, 0x40,
+                        0x1040,              0x0,    0x7c5};
+  std::uint64_t tag = 0;
+  for (const Addr a : addrs) b.write_line(a, pattern_line(++tag));
+  b.write_ecc(0x1040, {1, 1, 1, 1, 1, 1, 1, 1});
+  b.write_ecc(0x0, {2, 2, 2, 2, 2, 2, 2, 2});
+
+  std::vector<Addr> seen;
+  b.for_each_line([&](Addr a, const Line&) { seen.push_back(a); });
+  EXPECT_EQ(seen, (std::vector<Addr>{0x0, 0x40, 0x7c0, 0xfc0, 0x1040,
+                                     (5ull << 21) + 0x80}));
+  EXPECT_EQ(b.populated_lines(), 6u);
+  Line out;
+  ASSERT_TRUE(b.read_line(0x1040, out));
+  EXPECT_EQ(out, pattern_line(5)) << "the later write wins";
+  ASSERT_TRUE(b.read_line(0x7c0, out));
+  EXPECT_EQ(out, pattern_line(7)) << "sub-line address names its line";
+  EXPECT_FALSE(b.has_line(0x80));
+  EXPECT_FALSE(b.has_line(4ull << 21));
+  EXPECT_FALSE(b.has_ecc(0x40));
+
+  seen.clear();
+  b.for_each_ecc([&](Addr a, const EccBytes&) { seen.push_back(a); });
+  EXPECT_EQ(seen, (std::vector<Addr>{0x0, 0x1040}));
+}
+
+TEST(MapBackendTest, CloneIsIndependent) {
+  MapBackend b;
+  b.write_line(0x40, pattern_line(1));
+  b.write_ecc(0x40, {3, 3, 3, 3, 3, 3, 3, 3});
+  const std::unique_ptr<Backend> copy = b.clone();
+  b.write_line(0x40, pattern_line(2));
+  b.write_line(0x80, pattern_line(3));
+  Line out;
+  ASSERT_TRUE(copy->read_line(0x40, out));
+  EXPECT_EQ(out, pattern_line(1));
+  EXPECT_FALSE(copy->has_line(0x80));
+  EXPECT_EQ(copy->populated_lines(), 1u);
+  EXPECT_TRUE(copy->has_ecc(0x40));
+}
+
 TEST(FileBackendTest, CreateWriteReopenReadsBack) {
   const std::string path = temp_path("backend.dimm");
   {

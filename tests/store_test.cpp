@@ -3,16 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "core/cc_nvm.h"
 #include "core/design.h"
 #include "store/kv_store.h"
 #include "store/ycsb_runner.h"
 #include "support/design_helpers.h"
 #include "support/store_helpers.h"
+#include "trace/ycsb.h"
 
 namespace ccnvm::store {
 namespace {
@@ -274,6 +277,79 @@ TEST(StoreTest, YcsbRunnerExecutesAWorkloadEndToEnd) {
   EXPECT_GT(r.ops_per_sec(), 0.0);
   EXPECT_GT(r.writes_per_op(), 0.0);
 }
+
+
+/// A kvbench-style payload: `bytes` pseudo-random bytes fixed by
+/// (key id, version).
+std::string versioned_value(std::uint64_t key_id, std::uint64_t version,
+                            std::size_t bytes) {
+  std::string v(bytes, '\0');
+  const std::uint64_t tag = derive_seed(1, key_id, version);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<char>(
+        static_cast<std::uint8_t>(splitmix64(tag + i / 8) >> (8 * (i % 8))));
+  }
+  return v;
+}
+
+/// The crashed-store reopen at a quarter of kvbench `restart`'s size: a
+/// 16 384-key cc-NVM store, 4 096 unquiesced zipf updates through the
+/// bare store, then a power cut. Recovery must be clean (no false "data
+/// HMAC exhausted" attack report) and every acknowledged value must read
+/// back.
+class SmallCrashedStoreTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(SmallCrashedStoreTest, RecoversCleanWithEveryAckedValue) {
+  constexpr std::uint64_t kRecords = 16384;
+  constexpr std::uint64_t kUpdates = 4096;
+  trace::YcsbWorkload w = trace::ycsb_by_name("ycsb-a");
+  const StoreConfig cfg =
+      StoreConfig::sized_for(kRecords, w.value_bytes, /*shards=*/1);
+  core::DesignConfig dc;
+  dc.data_capacity = capacity_for(cfg);
+  dc.update_limit = 1u << 20;
+  dc.daq_entries = 1024;
+  dc.wpq_entries = 1024;
+  core::CcNvmDesign design(dc, /*deferred_spreading=*/true);
+
+  std::map<std::string, std::string> acked;
+  SecureKvStore kv(design, cfg);
+  for (std::uint64_t id = 0; id < kRecords; ++id) {
+    const std::string key = trace::YcsbGenerator::key_name(id);
+    std::string value = versioned_value(id, 0, w.value_bytes);
+    ASSERT_TRUE(kv.put(key, value));
+    acked[key] = std::move(value);
+  }
+  kv.checkpoint();
+  w.read_prop = 0.0;
+  w.update_prop = 1.0;
+  w.record_count = kRecords;
+  trace::YcsbGenerator gen(w, derive_seed(GetParam(), 0x4e57));
+  for (std::uint64_t i = 0; i < kUpdates; ++i) {
+    const trace::KvOp op = gen.next();
+    const std::string key = trace::YcsbGenerator::key_name(op.key_id);
+    std::string value = versioned_value(op.key_id, i + 1, op.value_bytes);
+    ASSERT_TRUE(kv.put(key, value));
+    acked[key] = std::move(value);
+  }
+
+  design.crash_power_loss();
+  const core::RecoveryReport report = design.recover();
+  ASSERT_TRUE(report.clean) << report.detail;
+  ASSERT_TRUE(report.metadata_recovered);
+  SecureKvStore reopened = SecureKvStore::open(design, cfg);
+  EXPECT_EQ(reopened.size(), kRecords);
+  for (const auto& [key, value] : acked) {
+    const std::optional<std::string> got = reopened.get(key);
+    ASSERT_TRUE(got.has_value()) << key;
+    ASSERT_EQ(*got, value) << key;
+  }
+}
+
+// kvbench's README once listed seeds 1 and 4 at this size as failing.
+INSTANTIATE_TEST_SUITE_P(Seeds, SmallCrashedStoreTest,
+                         ::testing::Values(1, 2, 3, 4, 5));
 
 }  // namespace
 }  // namespace ccnvm::store

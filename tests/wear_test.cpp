@@ -2,6 +2,8 @@
 // design-level hotspot property the lifetime bench reports.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "core/design.h"
 #include "nvm/wear.h"
@@ -61,6 +63,37 @@ TEST(WearTest, SummaryClassifiesRegions) {
   EXPECT_EQ(s.dh_writes, 1u);
   EXPECT_DOUBLE_EQ(s.mean_writes_per_touched_line(), 1.25);
   EXPECT_DOUBLE_EQ(s.imbalance(), 2.0 / 1.25);
+}
+
+TEST(WearTest, HottestLineTieGoesToTheLowestAddress) {
+  // Equal counts in two regions: the DH line is written first and the
+  // counter line sits below it, so the lower address must win however
+  // the counters are visited.
+  const NvmLayout layout(16 * kPageSize);
+  NvmImage image;
+  const Addr dh = layout.dh_line_addr(0);
+  const Addr ctr = layout.counter_line_addr(5 * kPageSize);
+  ASSERT_LT(ctr, dh);
+  for (int i = 0; i < 3; ++i) image.write_line(dh, zero_line());
+  for (int i = 0; i < 3; ++i) image.write_line(ctr, zero_line());
+  image.write_line(0x0, zero_line());
+
+  const WearSummary s = summarize_wear(image, layout);
+  EXPECT_EQ(s.max_line_writes, 3u);
+  EXPECT_EQ(s.hottest_line, ctr);
+  EXPECT_TRUE(layout.is_counter_addr(s.hottest_line));
+  EXPECT_EQ(s.max_dh, 3u);
+  EXPECT_EQ(s.max_counter, 3u);
+}
+
+TEST(WearTest, WornLinesVisitAscending) {
+  NvmImage image;
+  for (const Addr a : {Addr{3ull << 21}, Addr{0x1000}, Addr{0x40}}) {
+    image.write_line(a, zero_line());
+  }
+  std::vector<Addr> seen;
+  image.for_each_worn_line([&](Addr a, std::uint64_t) { seen.push_back(a); });
+  EXPECT_EQ(seen, (std::vector<Addr>{0x40, 0x1000, 3ull << 21}));
 }
 
 TEST(WearTest, EmptyImageSummary) {
