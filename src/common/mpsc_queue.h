@@ -8,21 +8,15 @@
 // cleverness, and the mutex keeps the ordering argument trivial: pops
 // observe pushes in a single total order per queue.
 //
-// Batch close policy lives in the CALLER, not the clock: `pop_batch` takes
-// an optional `FlushDeadline` callback that the consumer supplies to
-// compute "how long may this batch stay open" after the first item
-// arrives. With a null callback the pop is greedy — it takes whatever is
-// queued right now and returns — which is the deterministic mode the unit
-// tests and the fuzz mirror drive. Keeping the clock read in the caller
-// also keeps this header free of time sources, so it can sit in the
-// include cone of crashd/fuzz binaries under nvlint's N4 determinism
-// check.
+// `pop_batch` is greedy with a zero straggler gap — it takes whatever is
+// queued right now and returns, the deterministic mode the unit tests
+// drive — and otherwise holds the batch open until no item arrived for
+// one gap (docs/SERVICE.md §3).
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -34,14 +28,6 @@ namespace ccnvm {
 template <typename T>
 class MpscQueue {
  public:
-  /// Computes the wall deadline for the NEXT straggler wait of the batch
-  /// currently being assembled. Invoked before every wait iteration, so a
-  /// stateless `now() + gap` callback yields a sliding quiescence window
-  /// (the batch closes once no item arrived for `gap`), while a stateful
-  /// callback can pin a hard cap. Null means greedy (no waiting at all).
-  using FlushDeadline =
-      std::function<std::chrono::steady_clock::time_point()>;
-
   explicit MpscQueue(std::size_t capacity)
       : capacity_(capacity ? capacity : 1) {}
 
@@ -65,22 +51,22 @@ class MpscQueue {
 
   /// Pops up to max_items into `out` (appended). Blocks until at least one
   /// item is available or the queue is closed; returns the number popped
-  /// (0 only on closed-and-empty). With a non-null `flush_deadline`, keeps
-  /// the batch open for stragglers until the returned deadline passes or
-  /// the batch fills, amortizing one drain across more acks.
+  /// (0 only on closed-and-empty). With a non-zero `gap`, keeps the batch
+  /// open for stragglers until no item arrived for one gap or the batch
+  /// fills, amortizing one barrier across more acks.
   std::size_t pop_batch(std::vector<T>& out, std::size_t max_items,
-                        const FlushDeadline& flush_deadline) {
+                        std::chrono::microseconds gap) {
     if (max_items == 0) return 0;
     MutexLock lock(mu_);
     not_empty_.wait(lock, [this]() CCNVM_REQUIRES(mu_) {
       return closed_ || !items_.empty();
     });
     std::size_t taken = take_locked(out, max_items);
-    if (taken != 0 && taken < max_items && !closed_ && flush_deadline) {
+    if (taken != 0 && taken < max_items && !closed_ && gap.count() > 0) {
       while (taken < max_items) {
-        const auto deadline = flush_deadline();
         const bool ready = not_empty_.wait_until(
-            lock, deadline, [this]() CCNVM_REQUIRES(mu_) {
+            lock, std::chrono::steady_clock::now() + gap,
+            [this]() CCNVM_REQUIRES(mu_) {
               return closed_ || !items_.empty();
             });
         const std::size_t got = take_locked(out, max_items - taken);

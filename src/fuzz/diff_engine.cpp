@@ -21,7 +21,7 @@
 #include "common/types.h"
 #include "core/design.h"
 #include "fuzz/fuzz.h"
-#include "service/kv_service.h"
+#include "service/seeded_service.h"
 #include "store/kv_store.h"
 
 namespace ccnvm::fuzz::detail {
@@ -226,30 +226,38 @@ std::string diff_value(Rng& rng) {
   return v;
 }
 
-void run_kv_mode(Rng& rng, std::size_t max_ops, Fleet& fleet,
-                 CaseOutcome& out) {
+void run_kv_mode(std::uint64_t case_seed, Rng& rng, std::size_t max_ops,
+                 Fleet& fleet, CaseOutcome& out) {
   constexpr std::size_t kKeys = 12;
   std::vector<store::SecureKvStore> stores;
   stores.reserve(kNumKinds);
   for (core::SecureNvmBase* base : fleet.bases) {
     stores.emplace_back(*base, diff_store_config());
   }
-  // Seventh participant: the concurrent service front-end over its own
-  // cc-NVM engine. Driven synchronously — one blocking client, so every
-  // group-commit batch is exactly one request and the run stays
-  // deterministic — the queue/drain/barrier path must be
-  // answer-equivalent to the direct store calls above.
+  // Ninth participant: the service core on the seeded driver. Its one
+  // client submits each op without waiting, and the driver's own Rng
+  // interleaves client steps with greedy batches, so batches hold several
+  // requests and must stay answer-equivalent to the stores above.
   service::ServiceConfig scfg;
   scfg.shards = 1;
-  scfg.queue_capacity = 8;
   scfg.commit.max_batch = 4;
-  scfg.commit.max_delay_us = 0;  // greedy: no clock reads in the drain
   scfg.store = diff_store_config();
   scfg.design.data_capacity = kDiffPages * kPageSize;
-  service::KvService service(scfg);
+  service::SeededService service(scfg, derive_seed(case_seed, 0xd1ff));
+  // Each service answer must be the one the stores gave at submit time.
+  const auto mirror = [&service](service::OpType op, const std::string& key,
+                                 const std::string& value, bool ok,
+                                 const std::optional<std::string>& expected) {
+    service.submit({op, key, value}, [ok, expected](service::Result&& r) {
+      CCNVM_CHECK_MSG(r.ok == ok && r.value == expected,
+                      "diff fuzz: service disagrees with the stores");
+    });
+  };
 
   std::map<std::string, std::string> shadow;
-  for (std::size_t i = 0; i < max_ops; ++i) {
+  std::size_t i = 0;
+  service.add_client([&] {
+    if (i++ == max_ops) return false;
     ++out.ops;
     const std::string key = "fz-" + std::to_string(rng.below(kKeys));
     const std::uint64_t roll = rng.below(100);
@@ -258,8 +266,7 @@ void run_kv_mode(Rng& rng, std::size_t max_ops, Fleet& fleet,
       for (auto& kv : stores) {
         CCNVM_CHECK_MSG(kv.put(key, value), "diff fuzz: store full");
       }
-      CCNVM_CHECK_MSG(service.put(key, value).ok,
-                      "diff fuzz: service rejected a put the stores took");
+      mirror(service::OpType::kPut, key, value, true, std::nullopt);
       shadow[key] = value;
     } else if (roll < 75) {
       const std::optional<std::string> expected =
@@ -271,25 +278,25 @@ void run_kv_mode(Rng& rng, std::size_t max_ops, Fleet& fleet,
                         "diff fuzz: stores disagree on a lookup");
         ++out.reads_compared;
       }
-      CCNVM_CHECK_MSG(service.get(key).value == expected,
-                      "diff fuzz: service disagrees on a lookup");
+      mirror(service::OpType::kGet, key, "", expected.has_value(), expected);
       ++out.reads_compared;
       fold_digest(out.digest, expected ? expected->size() + 1 : 0);
     } else if (roll < 90) {
       for (auto& kv : stores) kv.erase(key);
-      CCNVM_CHECK_MSG(service.erase(key).ok == (shadow.count(key) > 0),
-                      "diff fuzz: service disagrees on an erase hit");
+      mirror(service::OpType::kErase, key, "", shadow.count(key) > 0,
+             std::nullopt);
       shadow.erase(key);
     } else {
       for (auto& kv : stores) kv.checkpoint();
     }
-  }
+    return true;
+  });
+  service.shutdown();
   for (auto& kv : stores) {
     CCNVM_CHECK_MSG(kv.size() == shadow.size(),
                     "diff fuzz: stores disagree on live entry count");
     ++out.checks;
   }
-  service.shutdown();
   CCNVM_CHECK_MSG(service.engine_store(0).size() == shadow.size(),
                   "diff fuzz: service disagrees on live entry count");
   CCNVM_CHECK_MSG(service.engine_base(0).audit_image().empty(),
@@ -309,7 +316,7 @@ CaseOutcome run_differential_case(std::uint64_t case_seed,
   const bool cache_can_thrash = cfg.meta_cache_bytes < defaults.meta_cache_bytes;
   Fleet fleet = make_fleet(cfg);
   if (rng.chance(0.35)) {
-    run_kv_mode(rng, max_ops, fleet, out);
+    run_kv_mode(case_seed, rng, max_ops, fleet, out);
   } else {
     run_raw_mode(rng, max_ops, fleet, out);
   }

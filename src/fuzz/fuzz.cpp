@@ -120,6 +120,8 @@ void fold_batch(const std::vector<CaseOutcome>& outcomes,
     result.attacks += c.attacks;
     result.reads_compared += c.reads_compared;
     result.checks += c.checks;
+    result.aborts += c.aborts;
+    result.abort_cuts += c.abort_cuts;
     fold_digest(result.digest, c.digest);
     if (!c.ok) {
       FuzzFailure failure;

@@ -17,10 +17,11 @@
 //                  core/recovery.h says it must (the deferred-spreading
 //                  replay window is detected-only on cc-NVM, located on
 //                  cc-NVM+).
-//   txn          — concurrent conflicting multi-key transactions over an
-//                  emulated 2-shard service under a seeded deterministic
-//                  scheduler, checked for serializability (DSG cycle
-//                  search + serial-oracle replay, txn_history.h) and —
+//   txn          — concurrent conflicting multi-key transactions over a
+//                  2-shard service on the seeded driver (the shipped 2PC,
+//                  abort wave included), checked for serializability
+//                  (DSG cycle search + serial-oracle replay,
+//                  txn_history.h) and —
 //                  on the cases that cut power mid-protocol — for crash
 //                  atomicity: acked txns fully present, in-flight txns
 //                  all-or-nothing, zero torn transactions.
@@ -64,6 +65,8 @@ struct CaseOutcome {
   std::uint64_t attacks = 0;
   std::uint64_t reads_compared = 0;
   std::uint64_t checks = 0;  // auditor checks + engine assertions
+  std::uint64_t aborts = 0;      // txn engine: txns a no vote aborted
+  std::uint64_t abort_cuts = 0;  // txn engine: power cuts inside an abort
   std::uint64_t digest = 0;
 };
 
@@ -123,6 +126,8 @@ struct FuzzCampaignResult {
   std::uint64_t attacks = 0;
   std::uint64_t reads_compared = 0;
   std::uint64_t checks = 0;
+  std::uint64_t aborts = 0;
+  std::uint64_t abort_cuts = 0;
   std::uint64_t digest = 0;  // fold of case digests in iteration order
   std::vector<FuzzFailure> failures;
 

@@ -1,36 +1,29 @@
-// Txn engine: concurrent conflicting transactions under a deterministic
-// scheduler, checked for serializability and crash atomicity.
+// Txn engine: concurrent conflicting transactions on the seeded service
+// driver (service/seeded_service.h), checked for serializability and
+// crash atomicity.
 //
-// Each case emulates a 2-shard KvService at the store level: two
-// independent engines (own design + single-shard SecureKvStore each),
-// keys routed by KvService::shard_of, and 2-3 logical clients running
-// the service's exact txn protocol — lock every touched shard, PREPARE
-// per shard (reads evaluated with read-your-writes, mutations staged +
-// journaled, one barrier), DECIDE on the lowest shard, FINALIZE the
-// rest, ack. The emulation exists because the checker needs determinism:
-// a seeded scheduler interleaves the clients' protocol *steps* (the same
-// granularity at which real drain workers hand off), so a case seed
-// replays bit-identically where real threads would not.
+// Each case runs a 2-shard service — the shipped ServiceCore and
+// TxnMachine: admission, PREPARE, DECIDE + FINALIZE or the ABORT wave,
+// release — with 2-3 clients, and the driver's seeded scheduler
+// interleaves client steps with shard batches, so a case seed replays
+// bit-identically. Some cases shrink the store heap so prepares vote no.
 //
-// Every committed value is tagged with its writer's txn id, so the
-// recorded history carries exact read observations. No-crash cases run
-// both oracles from fuzz/txn_history.h (DSG cycle search + serial
-// replay against the final store state). Crash cases cut power
-// mid-protocol — between steps or inside a store txn call via the
-// TxnCrashPhase hook — then recover, reopen the shards in shard order
-// (audit::open_shard_stores: shard 1 resolves its prepared txns against
-// shard 0's decision line) and hold them to the KV crash oracle
-// (audit::check_reopened): every acked txn fully present, every
-// in-flight txn all-or-nothing, no spurious entries.
+// Written values are tagged with their writer's txn id, so the recorded
+// history carries exact read observations; aborted txns enter it
+// uncommitted. No-crash cases run both oracles of fuzz/txn_history.h
+// (DSG cycle search, serial replay against the final state). Crash cases
+// cut power between scheduler steps or inside a store txn call (the
+// TxnCrashPhase hook throws out of apply_batch), recover, reopen the
+// shards in shard order (audit::open_shard_stores) and hold them to the
+// KV crash oracle (audit::check_reopened): acked txns fully present,
+// admitted in-flight txns all-or-nothing, no spurious entries.
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,7 +36,7 @@
 #include "core/design.h"
 #include "fuzz/fuzz.h"
 #include "fuzz/txn_history.h"
-#include "service/kv_service.h"
+#include "service/seeded_service.h"
 #include "store/kv_store.h"
 #include "store/ycsb_runner.h"
 
@@ -51,13 +44,13 @@ namespace ccnvm::fuzz::detail {
 namespace {
 
 using audit::kCcSweepKinds;
+using Kind = TxnOpRec::Kind;
 
 constexpr std::size_t kShards = 2;
 constexpr std::size_t kKeys = 12;
 
-/// Per-emulated-shard store geometry: single-shard internally (the
-/// emulated service layers its own sharding on top, like the real one)
-/// plus a txn journal.
+/// Per-service-shard store geometry: single-shard internally (the service
+/// layers its own sharding on top) plus a txn journal.
 store::StoreConfig txn_store_config() {
   store::StoreConfig cfg;
   cfg.shards = 1;
@@ -71,11 +64,7 @@ store::StoreConfig txn_store_config() {
 /// checker needs exact read-observation attribution, and the crash
 /// verifier needs applied-or-not to be unambiguous per key.
 std::string value_tag(std::uint64_t txn_id, std::string_view key) {
-  std::string tag = "t";
-  tag += std::to_string(txn_id);
-  tag += ':';
-  tag += key;
-  return tag;
+  return "t" + std::to_string(txn_id) + ":" + std::string(key);
 }
 
 std::optional<std::uint64_t> writer_of(std::string_view value) {
@@ -90,36 +79,18 @@ std::optional<std::uint64_t> writer_of(std::string_view value) {
   return id;
 }
 
-/// A history or plan op as the KV crash oracle's op (reads change nothing).
-audit::KvOp kv_op(TxnOpRec::Kind kind, const std::string& key,
-                  const std::string& value) {
-  return {kind == TxnOpRec::Kind::kWrite   ? audit::KvOpKind::kPut
-          : kind == TxnOpRec::Kind::kErase ? audit::KvOpKind::kErase
-                                           : audit::KvOpKind::kGet,
-          key, kind == TxnOpRec::Kind::kWrite ? value : ""};
+/// A recorded txn as the KV crash oracle's unit (reads change nothing).
+audit::KvUnit kv_unit(const TxnRecord& t) {
+  audit::KvUnit unit;
+  for (const TxnOpRec& op : t.ops) {
+    const bool put = op.kind == Kind::kWrite;
+    unit.push_back({put                        ? audit::KvOpKind::kPut
+                    : op.kind == Kind::kErase ? audit::KvOpKind::kErase
+                                              : audit::KvOpKind::kGet,
+                    op.key, put ? op.value : ""});
+  }
+  return unit;
 }
-
-struct PlanOp {
-  TxnOpRec::Kind kind = TxnOpRec::Kind::kRead;
-  std::string key;
-};
-
-/// One logical client's protocol state machine. A client runs one txn at
-/// a time: plan -> lock -> prepare each participant -> decide -> finalize
-/// the remaining mutating shards -> ack+release. Each arrow is one
-/// scheduler step, so crashes land between any two protocol actions.
-struct Client {
-  bool active = true;
-  bool in_txn = false;
-  bool locked = false;
-  TxnRecord rec;
-  std::vector<PlanOp> plan;
-  std::vector<std::size_t> participants;  // touched shards, ascending
-  std::vector<std::size_t> mutating;      // shards with put/erase sub-ops
-  std::size_t next_prepare = 0;
-  bool decided = false;
-  std::size_t next_finalize = 0;
-};
 
 }  // namespace
 
@@ -127,51 +98,41 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
                          bool planted_torn_txn, bool file_backend) {
   CaseOutcome out;
   Rng rng(case_seed);
-  const store::StoreConfig cfg = txn_store_config();
   const std::vector<std::string> keys = audit::numbered_keys("tx-", kKeys);
 
-  const core::DesignKind kind = kCcSweepKinds[rng.below(kCcSweepKinds.size())];
-  std::vector<std::unique_ptr<core::SecureNvmDesign>> designs;
+  service::ServiceConfig cfg;
+  cfg.shards = kShards;
+  cfg.kind = kCcSweepKinds[rng.below(kCcSweepKinds.size())];
+  cfg.store = txn_store_config();
+  // A tight heap makes some prepares vote no, so the abort wave runs.
+  if (rng.chance(0.3)) cfg.store.heap_lines_per_shard = 2 + rng.below(6);
+  cfg.design.data_capacity = store::capacity_for(cfg.store);
+  cfg.design.key_seed = derive_seed(case_seed, 0x7a9);
+  if (file_backend) cfg.design.backend_factory = make_file_backend;
+  service::SeededService service(cfg, derive_seed(case_seed, 0x5c4ed));
   std::vector<core::SecureNvmBase*> bases;
-  std::vector<core::CcNvmDesign*> ccs;
-  std::vector<store::SecureKvStore> stores;
-  stores.reserve(kShards);
   for (std::size_t s = 0; s < kShards; ++s) {
-    core::DesignConfig dc;
-    dc.data_capacity = store::capacity_for(cfg);
-    dc.key_seed = derive_seed(case_seed, 0x7a9, s);  // decorrelated, as in
-                                                     // the real service
-    if (file_backend) dc.backend_factory = make_file_backend;
-    designs.push_back(core::make_design(kind, dc));
-    auto* base = dynamic_cast<core::SecureNvmBase*>(designs.back().get());
-    auto* cc = dynamic_cast<core::CcNvmDesign*>(designs.back().get());
-    CCNVM_CHECK_MSG(base != nullptr && cc != nullptr,
-                    "txn fuzz needs a CcNvmDesign");
-    bases.push_back(base);
-    ccs.push_back(cc);
-    stores.emplace_back(*base, cfg);
+    bases.push_back(&service.engine_base(s));
   }
 
   // Crash sampling: none (run both oracles), a step-budget power cut
-  // (lands between protocol steps), or an armed TxnCrashPhase hook
-  // (lands inside a store txn call — mid-redo, after the status flip...).
-  enum class CrashMode { kNone, kStepBudget, kArmedHook };
-  CrashMode mode = CrashMode::kNone;
-  std::uint64_t kill_step = 0;
+  // (lands between scheduler steps), or an armed TxnCrashPhase hook
+  // (lands inside a store txn call — mid-redo, after the status flip,
+  // inside an abort...).
+  std::uint64_t kill_step = 0;  // 0 = no step-budget cut
   std::uint64_t hook_countdown = 0;
+  using Phase = store::SecureKvStore::TxnCrashPhase;
+  Phase armed = Phase::kAfterStage;
   if (!planted_torn_txn) {
     const std::uint64_t roll = rng.below(100);
     if (roll < 30) {
-      mode = CrashMode::kStepBudget;
-      kill_step = 1 + rng.below(static_cast<std::uint64_t>(max_ops) * 2 + 1);
+      kill_step = 1 + rng.below(static_cast<std::uint64_t>(max_ops) * 4 + 1);
     } else if (roll < 60) {
-      mode = CrashMode::kArmedHook;
-      const auto phase = static_cast<store::SecureKvStore::TxnCrashPhase>(
-          rng.below(6));
+      armed = static_cast<Phase>(rng.below(7));
       hook_countdown = 1 + rng.below(8);
-      stores[rng.below(kShards)].set_txn_test_hook(
-          [&hook_countdown, phase](store::SecureKvStore::TxnCrashPhase p) {
-            if (p == phase && --hook_countdown == 0) {
+      service.engine_store(rng.below(kShards)).set_txn_test_hook(
+          [&hook_countdown, armed](Phase p) {
+            if (p == armed && --hook_countdown == 0) {
               throw core::InjectedPowerLoss{};
             }
           });
@@ -194,193 +155,96 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
     forged.commit_seq = ++next_commit_seq;
     const std::array<std::string, 2> planted = {"tx-pb-0", "tx-pb-1"};
     for (const std::string& k : planted) {
-      forged.ops.push_back(TxnOpRec{TxnOpRec::Kind::kWrite, k,
-                                    value_tag(forged.id, k), std::nullopt});
+      forged.ops.push_back(
+          TxnOpRec{Kind::kWrite, k, value_tag(forged.id, k), std::nullopt});
     }
-    const std::size_t s = service::KvService::shard_of(planted[0], kShards);
-    CCNVM_CHECK_MSG(stores[s].put(planted[0], value_tag(forged.id, planted[0])),
+    const std::size_t s = service::ServiceCore::shard_of(planted[0], kShards);
+    CCNVM_CHECK_MSG(service.engine_store(s).put(
+                        planted[0], value_tag(forged.id, planted[0])),
                     "txn fuzz: planted put rejected");
     history.push_back(std::move(forged));
   }
 
-  std::vector<Client> clients(2 + rng.below(2));
-  std::array<std::ptrdiff_t, kShards> owner;
-  owner.fill(-1);
-
-  const auto plan_txn = [&](Client& c) {
-    const std::size_t n =
-        std::min<std::size_t>(1 + rng.below(4), ops_budget);
-    ops_budget -= n;
-    out.ops += n;
-    c.rec = TxnRecord{};
-    c.rec.id = next_txn_id++;
-    c.plan.clear();
-    std::set<std::size_t> touched;
-    std::set<std::size_t> mut;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::string& key = keys[rng.below(kKeys)];
-      const std::uint64_t roll = rng.below(100);
-      const TxnOpRec::Kind op_kind = roll < 45   ? TxnOpRec::Kind::kWrite
-                                     : roll < 75 ? TxnOpRec::Kind::kRead
-                                                 : TxnOpRec::Kind::kErase;
-      c.plan.push_back(PlanOp{op_kind, key});
-      const std::size_t s = service::KvService::shard_of(key, kShards);
-      touched.insert(s);
-      if (op_kind != TxnOpRec::Kind::kRead) mut.insert(s);
+  // Each client plans one txn per idle step; its record (plan, then read
+  // observations) is complete when the service releases the txn.
+  std::vector<TxnRecord> in_flight(2 + rng.below(2));
+  const auto finish = [&](std::size_t c, service::TxnOutcome&& o) {
+    TxnRecord& rec = in_flight[c];
+    rec.committed = o.committed;
+    if (o.committed) {
+      rec.commit_seq = ++next_commit_seq;
+    } else {
+      ++out.aborts;
     }
-    c.participants.assign(touched.begin(), touched.end());
-    c.mutating.assign(mut.begin(), mut.end());
-    c.rec.ops.resize(c.plan.size());
-    c.next_prepare = 0;
-    c.decided = false;
-    c.next_finalize = 0;
-    c.in_txn = true;
-    c.locked = false;
+    for (std::size_t i = 0; o.committed && i < rec.ops.size(); ++i) {
+      if (rec.ops[i].kind != Kind::kRead) continue;
+      const std::optional<std::string>& got = o.results[i].value;
+      rec.ops[i].value = got.value_or("");
+      rec.ops[i].observed = got ? writer_of(*got) : std::nullopt;
+      CCNVM_CHECK_MSG(!got || rec.ops[i].observed.has_value(),
+                      "txn fuzz: observed an untagged value");
+      ++out.reads_compared;
+      fold_digest(out.digest,
+                  rec.ops[i].observed ? *rec.ops[i].observed + 1 : 0);
+    }
+    history.push_back(rec);
   };
-
-  // The PREPARE wave for one shard: evaluate this shard's sub-ops in plan
-  // order (reads see the txn's own buffered mutations first — the drain
-  // worker's read-your-writes), then stage + journal + barrier.
-  const auto prepare_shard = [&](Client& c, std::size_t shard) {
-    store::Txn txn = stores[shard].begin_txn();
-    bool mutates = false;
-    for (std::size_t i = 0; i < c.plan.size(); ++i) {
-      const PlanOp& op = c.plan[i];
-      if (service::KvService::shard_of(op.key, kShards) != shard) continue;
-      switch (op.kind) {
-        case TxnOpRec::Kind::kRead: {
-          std::optional<std::string> got;
-          if (const std::optional<std::string>* p = txn.pending(op.key)) {
-            got = *p;
-          } else {
-            got = stores[shard].get(op.key);
-          }
-          ++out.reads_compared;
-          c.rec.ops[i] =
-              TxnOpRec{TxnOpRec::Kind::kRead, op.key, got.value_or(""),
-                       got ? writer_of(*got) : std::nullopt};
-          CCNVM_CHECK_MSG(!got || c.rec.ops[i].observed.has_value(),
-                          "txn fuzz: observed an untagged value");
-          fold_digest(out.digest,
-                      c.rec.ops[i].observed ? *c.rec.ops[i].observed + 1 : 0);
-          break;
-        }
-        case TxnOpRec::Kind::kWrite: {
-          const std::string v = value_tag(c.rec.id, op.key);
-          txn.put(op.key, v);
-          c.rec.ops[i] =
-              TxnOpRec{TxnOpRec::Kind::kWrite, op.key, v, std::nullopt};
-          mutates = true;
-          break;
-        }
-        case TxnOpRec::Kind::kErase:
-          txn.erase(op.key);
-          c.rec.ops[i] =
-              TxnOpRec{TxnOpRec::Kind::kErase, op.key, "", std::nullopt};
-          mutates = true;
-          break;
+  for (std::size_t c = 0; c < in_flight.size(); ++c) {
+    service.add_client([&, c] {
+      if (ops_budget == 0) return false;
+      const std::size_t n = std::min<std::size_t>(1 + rng.below(4), ops_budget);
+      ops_budget -= n;
+      out.ops += n;
+      TxnRecord& rec = in_flight[c];
+      rec = TxnRecord{};
+      rec.id = next_txn_id++;
+      std::vector<service::TxnOp> ops;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::string& key = keys[rng.below(kKeys)];
+        const std::uint64_t roll = rng.below(100);
+        const Kind kind = roll < 45   ? Kind::kWrite
+                          : roll < 75 ? Kind::kRead
+                                      : Kind::kErase;
+        const std::string value =
+            kind == Kind::kWrite ? value_tag(rec.id, key) : "";
+        rec.ops.push_back(TxnOpRec{kind, key, value, std::nullopt});
+        ops.push_back({kind == Kind::kWrite  ? service::OpType::kPut
+                       : kind == Kind::kRead ? service::OpType::kGet
+                                             : service::OpType::kErase,
+                       key, value});
       }
-    }
-    if (mutates) {
-      CCNVM_CHECK_MSG(
-          stores[shard].prepare_txn(
-              txn, c.rec.id,
-              static_cast<std::uint32_t>(c.participants.front())),
-          "txn fuzz: prepare rejected (store full?)");
-      stores[shard].checkpoint();  // this shard's one prepare-wave barrier
-    }
-  };
-
-  const auto step = [&](std::size_t idx) {
-    Client& c = clients[idx];
-    if (!c.in_txn) {
-      plan_txn(c);
-      return;
-    }
-    if (!c.locked) {
-      for (std::size_t s : c.participants) {
-        owner[s] = static_cast<std::ptrdiff_t>(idx);
-      }
-      c.locked = true;
-      return;
-    }
-    if (c.next_prepare < c.participants.size()) {
-      prepare_shard(c, c.participants[c.next_prepare++]);
-      return;
-    }
-    if (!c.mutating.empty() && !c.decided) {
-      // DECIDE on the coordinator (lowest touched shard, even when it is
-      // itself read-only — prepared shards name it in their journal).
-      const std::size_t coord = c.participants.front();
-      stores[coord].decide_txn_commit(c.rec.id);
-      stores[coord].finalize_txn(c.rec.id);
-      stores[coord].checkpoint();
-      c.decided = true;
-      return;
-    }
-    while (c.next_finalize < c.mutating.size() &&
-           c.mutating[c.next_finalize] == c.participants.front()) {
-      ++c.next_finalize;  // the coordinator finalized in the decide step
-    }
-    if (c.next_finalize < c.mutating.size()) {
-      const std::size_t s = c.mutating[c.next_finalize++];
-      stores[s].finalize_txn(c.rec.id);
-      stores[s].checkpoint();
-      return;
-    }
-    c.rec.committed = true;
-    c.rec.commit_seq = ++next_commit_seq;
-    history.push_back(c.rec);
-    for (std::size_t s : c.participants) owner[s] = -1;
-    c.in_txn = false;
-    c.locked = false;
-  };
+      service.submit_txn(c, ops, [&finish, c](service::TxnOutcome&& o) {
+        finish(c, std::move(o));
+      });
+      return true;
+    });
+  }
 
   bool crashed = false;
-  std::uint64_t steps = 0;
-  std::vector<std::size_t> candidates;
-  while (!crashed) {
-    candidates.clear();
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      Client& c = clients[i];
-      if (!c.active) continue;
-      if (!c.in_txn) {
-        if (ops_budget == 0) {
-          c.active = false;
-          continue;
-        }
-        candidates.push_back(i);
-      } else if (!c.locked) {
-        bool free = true;
-        for (std::size_t s : c.participants) free = free && owner[s] < 0;
-        if (free) candidates.push_back(i);
-      } else {
-        candidates.push_back(i);
+  try {
+    for (std::uint64_t steps = 1; service.step(); ++steps) {
+      if (steps == kill_step) {
+        crashed = true;
+        break;
       }
     }
-    if (candidates.empty()) break;  // a lock holder is always runnable
-    if (mode == CrashMode::kStepBudget && ++steps >= kill_step) {
-      crashed = true;
-      break;
-    }
-    try {
-      step(candidates[rng.below(candidates.size())]);
-    } catch (const core::InjectedPowerLoss&) {
-      crashed = true;
-    }
+  } catch (const core::InjectedPowerLoss&) {
+    crashed = true;
+    if (armed == Phase::kAfterAbortRelease) ++out.abort_cuts;
   }
 
   if (!crashed) {
-    for (auto& st : stores) st.checkpoint();
+    service.shutdown();
     const SerializabilityVerdict verdict = check_serializability(history);
     CCNVM_CHECK_MSG(verdict.serializable, verdict.message.c_str());
     ++out.checks;
 
     std::map<std::string, std::string> final_state;
-    for (auto& st : stores) {
-      st.for_each([&](std::string_view k, std::string_view v) {
-        final_state.emplace(std::string(k), std::string(v));
-      });
+    for (std::size_t s = 0; s < kShards; ++s) {
+      service.engine_store(s).for_each(
+          [&](std::string_view k, std::string_view v) {
+            final_state.emplace(std::string(k), std::string(v));
+          });
     }
     const OracleResult oracle = replay_serial_oracle(history, final_state);
     CCNVM_CHECK_MSG(oracle.ok, oracle.message.c_str());
@@ -391,84 +255,54 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
     for (const auto& [k, v] : final_state) {
       fold_digest(out.digest, splitmix64(k.size() * 131 + v.size()));
     }
-    for (auto& st : stores) {
-      fold_digest(out.digest, st.stats().txn_commits);
-      fold_digest(out.digest, st.stats().txn_prepares);
+    for (std::size_t s = 0; s < kShards; ++s) {
+      const store::StoreStats& st = service.engine_store(s).stats();
+      fold_digest(out.digest, st.txn_commits);
+      fold_digest(out.digest, st.txn_prepares);
     }
     return out;
   }
 
-  // Crash path: power-cut both emulated shards, recover, and reopen them
-  // in shard order with the coordinator's decision line as resolver —
-  // what crashd's txn verifier does out of process.
-  for (auto* cc : ccs) cc->crash_power_loss();
+  // Crash path: power-cut both shards, recover, and reopen them in shard
+  // order with the coordinator's decision line as resolver — what
+  // crashd's txn verifier does out of process.
+  for (core::SecureNvmBase* base : bases) {
+    dynamic_cast<core::CcNvmDesign&>(*base).crash_power_loss();
+  }
   ++out.crashes;
-  for (auto& design : designs) {
-    const core::RecoveryReport report = design->recover();
-    CCNVM_CHECK_MSG(report.clean, "txn fuzz: recovery not clean");
+  for (core::SecureNvmBase* base : bases) {
+    CCNVM_CHECK_MSG(base->recover().clean, "txn fuzz: recovery not clean");
     ++out.recoveries;
   }
   std::vector<store::SecureKvStore> reopened =
-      audit::open_shard_stores(bases, cfg);
+      audit::open_shard_stores(bases, cfg.store);
 
   // The KV crash oracle's model: every committed (acked) txn — `history`
-  // holds exactly those, in commit order — then each locked client's txn
-  // as its in-flight unit (locks are per shard, so in-flight txns are
-  // key-disjoint).
+  // holds exactly those, in commit order, beside the aborted ones — then
+  // each admitted client's txn as its in-flight unit (admission is per
+  // shard, so in-flight txns are key-disjoint).
   audit::KvModel model;
   for (const TxnRecord& t : history) {
-    audit::KvUnit unit;
-    for (const TxnOpRec& op : t.ops) {
-      unit.push_back(kv_op(op.kind, op.key, op.value));
-    }
-    model.submit(std::move(unit));
+    if (!t.committed) continue;
+    model.submit(kv_unit(t));
     model.ack();
   }
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const Client& c = clients[i];
-    if (!c.in_txn || !c.locked) continue;
-    audit::KvUnit unit;
-    for (const PlanOp& op : c.plan) {
-      unit.push_back(kv_op(op.kind, op.key, value_tag(c.rec.id, op.key)));
-    }
-    model.submit(std::move(unit), i);
+  for (std::size_t c = 0; c < in_flight.size(); ++c) {
+    if (service.admitted(c)) model.submit(kv_unit(in_flight[c]), c);
   }
 
   std::vector<audit::ReopenedStore> keyed(kShards);
   for (std::size_t s = 0; s < kShards; ++s) keyed[s].kv = &reopened[s];
   for (const std::string& key : keys) {
-    keyed[service::KvService::shard_of(key, kShards)].keys.push_back(key);
+    keyed[service::ServiceCore::shard_of(key, kShards)].keys.push_back(key);
   }
+  // check_reopened checked every key, each in-flight txn and the stores'
+  // live counts.
   const std::vector<std::optional<std::string>> reads =
       audit::check_reopened(model, keyed);
-
-  // The survivors, and the keys an in-flight txn would change: together
-  // with one check per in-flight txn and one for the whole state, these
-  // are the case's crash checks.
-  audit::KvModel applied = model;
-  for (const auto& [client, unit] : model.in_flight()) applied.ack(client);
-  const auto value_in = [](const std::map<std::string, std::string>& state,
-                           const std::string& key) {
-    const auto it = state.find(key);
-    return it == state.end() ? std::nullopt
-                             : std::optional<std::string>(it->second);
-  };
-  std::map<std::string, std::string> got;
-  std::size_t r = 0;
-  for (const audit::ReopenedStore& s : keyed) {
-    for (const std::string& key : s.keys) {
-      if (reads[r]) got.emplace(key, *reads[r]);
-      ++r;
-      if (value_in(model.acked(), key) != value_in(applied.acked(), key)) {
-        ++out.checks;
-      }
-    }
-  }
-  out.checks += model.in_flight().size() + got.size() + 1;
-
-  fold_digest(out.digest, got.size());
-  for (const auto& [k, v] : got) {
-    fold_digest(out.digest, splitmix64(k.size() * 131 + v.size()));
+  out.checks += reads.size() + model.in_flight().size() + 1;
+  for (const std::optional<std::string>& v : reads) {
+    fold_digest(out.digest, v ? v->size() + 1 : 0);
   }
   for (auto& st : reopened) fold_digest(out.digest, st.size());
   return out;

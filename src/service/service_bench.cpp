@@ -48,6 +48,114 @@ std::string temp_dir(const std::string& requested) {
   return tmp != nullptr && *tmp != '\0' ? tmp : "/tmp";
 }
 
+/// The engine setup both harnesses share. Each engine is sized for the
+/// full keyspace: routing is hashed, so a shard can in principle see any
+/// key, and slack is cheap here.
+template <typename Options>
+ServiceConfig bench_config(const Options& o, std::uint64_t keys,
+                           std::uint32_t value_bytes, std::size_t txn_ops,
+                           const std::string& tag) {
+  ServiceConfig cfg;
+  cfg.shards =
+      o.service_shards != 0 ? o.service_shards : default_parallelism();
+  cfg.commit = o.commit;
+  cfg.kind = o.kind;
+  cfg.store = store::StoreConfig::sized_for(keys, value_bytes, /*shards=*/1);
+  cfg.store.txn_ops_capacity = txn_ops;
+  cfg.design.data_capacity = store::capacity_for(cfg.store);
+  // Group commit pays a media barrier per batch and leaves epoch drains
+  // to the design's triggers: a tight update limit or DAQ would force
+  // frequent drains (each an msync on durable media) on zipf-hammered
+  // keys.
+  cfg.design.update_limit = 1u << 20;
+  cfg.design.daq_entries = 1024;
+  cfg.design.wpq_entries = 1024;  // a drain batch must fit in the WPQ
+  if (o.durable) {
+    const std::string prefix = temp_dir(o.work_dir) + "/ccnvm-" + tag + "-" +
+                               std::to_string(o.seed) + "-t" +
+                               std::to_string(o.threads) + "-s";
+    cfg.backend_factory = [prefix](std::size_t shard,
+                                   std::uint64_t capacity_bytes) {
+      // Unlinked right after create: durable while the process lives
+      // (every barrier is a real msync), zero cleanup on exit.
+      return nvm::FileBackend::create(
+          prefix + std::to_string(shard), capacity_bytes,
+          nvm::FileBackend::SyncMode::kBarrier, /*unlink_after_create=*/true);
+    };
+  }
+  return cfg;
+}
+
+struct Client {
+  std::map<std::string, std::string> model;
+  std::string failure;
+};
+
+/// Load phase (untimed): thread t populates record ids [0, records) of its
+/// key range, which starts at t * span.
+void load(KvService& service, std::vector<Client>& clients,
+          std::uint64_t span, std::uint64_t records,
+          std::uint32_t value_bytes) {
+  run_clients(clients.size(), [&](std::size_t t) {
+    Client& c = clients[t];
+    for (std::uint64_t id = 0; id < records; ++id) {
+      const std::string key = trace::YcsbGenerator::key_name(t * span + id);
+      std::string value = value_for(t, id, 0, value_bytes);
+      if (!service.put(key, value).ok) {
+        if (c.failure.empty()) c.failure = "load put rejected: " + key;
+        return;
+      }
+      c.model[key] = std::move(value);
+    }
+  });
+}
+
+void record_timing(ServiceBenchResult& res, std::uint64_t ops,
+                   std::chrono::steady_clock::time_point t0) {
+  const auto t1 = std::chrono::steady_clock::now();
+  res.ops = ops;
+  res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  res.ops_per_sec =
+      res.wall_seconds > 0.0 ? static_cast<double>(res.ops) / res.wall_seconds
+                             : 0.0;
+}
+
+/// After shutdown: every engine must audit clean and hold exactly the
+/// union of the clients' models, each key on its routed shard. Fills the
+/// digest and `verified`; keeps the first failure already recorded.
+void verify(KvService& service, const std::vector<Client>& clients,
+            ServiceBenchResult& res) {
+  std::map<std::string, std::string> expected;
+  for (const Client& c : clients) {
+    if (!c.failure.empty() && res.failure.empty()) res.failure = c.failure;
+    expected.insert(c.model.begin(), c.model.end());
+  }
+
+  std::map<std::string, std::string> found;
+  for (std::size_t s = 0; s < service.shards(); ++s) {
+    if (!service.engine_base(s).audit_image().empty() && res.failure.empty()) {
+      res.failure = "shard " + std::to_string(s) + " does not audit clean";
+    }
+    service.engine_store(s).for_each(
+        [&](std::string_view key, std::string_view value) {
+          if (KvService::shard_of(key, service.shards()) != s &&
+              res.failure.empty()) {
+            res.failure = "misrouted key: " + std::string(key);
+          }
+          found.emplace(std::string(key), std::string(value));
+        });
+  }
+  if (res.failure.empty() && found != expected) {
+    res.failure = "final store content diverges from the model";
+  }
+
+  for (const auto& [key, value] : expected) {
+    fold_fnv(res.digest, key);
+    fold_fnv(res.digest, value);
+  }
+  res.verified = res.failure.empty();
+}
+
 }  // namespace
 
 void run_clients(std::size_t count,
@@ -88,60 +196,13 @@ ServiceBenchResult run_service_ycsb(const ServiceBenchOptions& options) {
       (workload.insert_prop > 0.0 ? options.ops_per_thread : 0);
   const std::uint64_t total_keys = options.threads * key_span;
 
-  ServiceConfig cfg;
-  cfg.shards = options.service_shards != 0 ? options.service_shards
-                                           : default_parallelism();
-  cfg.commit = options.commit;
-  cfg.kind = options.kind;
-  // Each engine is sized for the full keyspace: routing is hashed, so a
-  // shard can in principle see any key, and slack is cheap here.
-  cfg.store = store::StoreConfig::sized_for(total_keys, workload.value_bytes,
-                                            /*shards=*/1);
-  cfg.design.data_capacity = store::capacity_for(cfg.store);
-  // Group commit pays a media barrier per batch and leaves epoch drains
-  // to the design's triggers: a tight update limit or DAQ would force
-  // frequent drains (each an msync on durable media) on zipf-hammered
-  // keys.
-  cfg.design.update_limit = 1u << 20;
-  cfg.design.daq_entries = 1024;
-  cfg.design.wpq_entries = 1024;  // a drain batch must fit in the WPQ
-  if (options.durable) {
-    const std::string prefix = temp_dir(options.work_dir) + "/ccnvm-svcbench-" +
-                               std::to_string(options.seed) + "-t" +
-                               std::to_string(options.threads) + "-s";
-    cfg.backend_factory = [prefix](std::size_t shard,
-                                   std::uint64_t capacity_bytes) {
-      // Unlinked right after create: durable while the process lives
-      // (every barrier is a real msync), zero cleanup on exit.
-      return nvm::FileBackend::create(
-          prefix + std::to_string(shard), capacity_bytes,
-          nvm::FileBackend::SyncMode::kBarrier, /*unlink_after_create=*/true);
-    };
-  }
-
+  const ServiceConfig cfg = bench_config(options, total_keys,
+                                         workload.value_bytes, 0, "svcbench");
   ServiceBenchResult res;
   KvService service(cfg);
-
-  struct Client {
-    std::map<std::string, std::string> model;
-    std::string failure;
-  };
   std::vector<Client> clients(options.threads);
-
-  // --- Load phase (untimed): every thread populates its own records. ---
-  run_clients(options.threads, [&](std::size_t t) {
-    Client& c = clients[t];
-    const std::uint64_t base = t * key_span;
-    for (std::uint64_t id = 0; id < options.records_per_thread; ++id) {
-      const std::string key = trace::YcsbGenerator::key_name(base + id);
-      std::string value = value_for(t, id, 0, workload.value_bytes);
-      if (!service.put(key, value).ok) {
-        if (c.failure.empty()) c.failure = "load put rejected: " + key;
-        return;
-      }
-      c.model[key] = std::move(value);
-    }
-  });
+  load(service, clients, key_span, options.records_per_thread,
+       workload.value_bytes);
 
   // --- Timed phase: the YCSB op mix, one blocking client per thread. ---
   const auto t0 = std::chrono::steady_clock::now();
@@ -181,47 +242,12 @@ ServiceBenchResult run_service_ycsb(const ServiceBenchOptions& options) {
       }
     }
   });
-  const auto t1 = std::chrono::steady_clock::now();
-
-  res.ops = options.threads * options.ops_per_thread;
-  res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  res.ops_per_sec =
-      res.wall_seconds > 0.0 ? static_cast<double>(res.ops) / res.wall_seconds
-                             : 0.0;
+  record_timing(res, options.threads * options.ops_per_thread, t0);
 
   // --- Quiesce, then verify the final state exactly. ---
   service.shutdown();
   res.stats = service.stats();
-
-  std::map<std::string, std::string> expected;
-  for (Client& c : clients) {
-    if (!c.failure.empty() && res.failure.empty()) res.failure = c.failure;
-    expected.insert(c.model.begin(), c.model.end());
-  }
-
-  std::map<std::string, std::string> found;
-  for (std::size_t s = 0; s < service.shards(); ++s) {
-    if (!service.engine_base(s).audit_image().empty() && res.failure.empty()) {
-      res.failure = "shard " + std::to_string(s) + " does not audit clean";
-    }
-    service.engine_store(s).for_each(
-        [&](std::string_view key, std::string_view value) {
-          if (KvService::shard_of(key, service.shards()) != s &&
-              res.failure.empty()) {
-            res.failure = "misrouted key: " + std::string(key);
-          }
-          found.emplace(std::string(key), std::string(value));
-        });
-  }
-  if (res.failure.empty() && found != expected) {
-    res.failure = "final store content diverges from the model";
-  }
-
-  for (const auto& [key, value] : expected) {
-    fold_fnv(res.digest, key);
-    fold_fnv(res.digest, value);
-  }
-  res.verified = res.failure.empty();
+  verify(service, clients, res);
   return res;
 }
 
@@ -233,54 +259,14 @@ ServiceBenchResult run_service_txn_mix(const TxnMixOptions& options) {
                   "txn mix: read_prop out of range");
   const std::uint64_t total_keys = options.threads * options.records_per_thread;
 
-  ServiceConfig cfg;
-  cfg.shards = options.service_shards != 0 ? options.service_shards
-                                           : default_parallelism();
-  cfg.commit = options.commit;
-  cfg.kind = options.kind;
-  cfg.store = store::StoreConfig::sized_for(total_keys, options.value_bytes,
-                                            /*shards=*/1);
   // Largest txn below is 4 keys; 8 journal slots leave erase headroom.
-  cfg.store.txn_ops_capacity = 8;
-  cfg.design.data_capacity = store::capacity_for(cfg.store);
-  cfg.design.update_limit = 1u << 20;
-  cfg.design.daq_entries = 1024;
-  cfg.design.wpq_entries = 1024;
-  if (options.durable) {
-    const std::string prefix = temp_dir(options.work_dir) + "/ccnvm-txnbench-" +
-                               std::to_string(options.seed) + "-t" +
-                               std::to_string(options.threads) + "-s";
-    cfg.backend_factory = [prefix](std::size_t shard,
-                                   std::uint64_t capacity_bytes) {
-      return nvm::FileBackend::create(
-          prefix + std::to_string(shard), capacity_bytes,
-          nvm::FileBackend::SyncMode::kBarrier, /*unlink_after_create=*/true);
-    };
-  }
-
+  const ServiceConfig cfg = bench_config(options, total_keys,
+                                         options.value_bytes, 8, "txnbench");
   ServiceBenchResult res;
   KvService service(cfg);
-
-  struct Client {
-    std::map<std::string, std::string> model;
-    std::string failure;
-  };
   std::vector<Client> clients(options.threads);
-
-  // --- Load phase (untimed): every thread populates its own records. ---
-  run_clients(options.threads, [&](std::size_t t) {
-    Client& c = clients[t];
-    const std::uint64_t base = t * options.records_per_thread;
-    for (std::uint64_t id = 0; id < options.records_per_thread; ++id) {
-      const std::string key = trace::YcsbGenerator::key_name(base + id);
-      std::string value = value_for(t, id, 0, options.value_bytes);
-      if (!service.put(key, value).ok) {
-        if (c.failure.empty()) c.failure = "load put rejected: " + key;
-        return;
-      }
-      c.model[key] = std::move(value);
-    }
-  });
+  load(service, clients, options.records_per_thread,
+       options.records_per_thread, options.value_bytes);
 
   // --- Timed phase: multi-key transactions, one blocking client each. ---
   const auto t0 = std::chrono::steady_clock::now();
@@ -334,13 +320,7 @@ ServiceBenchResult run_service_txn_mix(const TxnMixOptions& options) {
       }
     }
   });
-  const auto t1 = std::chrono::steady_clock::now();
-
-  res.ops = options.threads * options.txns_per_thread;
-  res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  res.ops_per_sec =
-      res.wall_seconds > 0.0 ? static_cast<double>(res.ops) / res.wall_seconds
-                             : 0.0;
+  record_timing(res, options.threads * options.txns_per_thread, t0);
 
   // --- Quiesce, then verify the final state exactly. ---
   service.shutdown();
@@ -355,36 +335,7 @@ ServiceBenchResult run_service_txn_mix(const TxnMixOptions& options) {
       res.failure.empty()) {
     res.failure = "no transaction ever spanned more than one shard";
   }
-
-  std::map<std::string, std::string> expected;
-  for (Client& c : clients) {
-    if (!c.failure.empty() && res.failure.empty()) res.failure = c.failure;
-    expected.insert(c.model.begin(), c.model.end());
-  }
-
-  std::map<std::string, std::string> found;
-  for (std::size_t s = 0; s < service.shards(); ++s) {
-    if (!service.engine_base(s).audit_image().empty() && res.failure.empty()) {
-      res.failure = "shard " + std::to_string(s) + " does not audit clean";
-    }
-    service.engine_store(s).for_each(
-        [&](std::string_view key, std::string_view value) {
-          if (KvService::shard_of(key, service.shards()) != s &&
-              res.failure.empty()) {
-            res.failure = "misrouted key: " + std::string(key);
-          }
-          found.emplace(std::string(key), std::string(value));
-        });
-  }
-  if (res.failure.empty() && found != expected) {
-    res.failure = "final store content diverges from the model";
-  }
-
-  for (const auto& [key, value] : expected) {
-    fold_fnv(res.digest, key);
-    fold_fnv(res.digest, value);
-  }
-  res.verified = res.failure.empty();
+  verify(service, clients, res);
   return res;
 }
 

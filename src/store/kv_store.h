@@ -252,6 +252,8 @@ class SecureKvStore {
     kBeforeRelease,   // every header flipped, journal not yet released
     kAfterPrepare,    // prepare_txn: status=prepared written
     kAfterDecide,     // decide_txn_commit: decision line written
+    kAfterAbortRelease,  // abort_prepared_txn: journal released, staged
+                         // extents not yet reclaimed
   };
   /// Test hook called at each phase above (null in production). Throwing
   /// core::InjectedPowerLoss from it simulates a crash at that point.

@@ -377,6 +377,7 @@ void SecureKvStore::abort_prepared_txn(std::uint64_t txn_id) {
   CCNVM_CHECK_MSG(prepared_txn_->id == txn_id,
                   "abort_prepared_txn for a different txn");
   release_txn_status();
+  txn_phase(TxnCrashPhase::kAfterAbortRelease);
   reclaim_staged(prepared_txn_->ops);
   prepared_txn_.reset();
 }

@@ -19,11 +19,11 @@ TEST(MpscQueueTest, GreedyPopTakesWhatIsQueuedUpToMaxItems) {
 
   std::vector<int> batch;
   // Greedy mode (null deadline): take everything available, no waiting.
-  EXPECT_EQ(q.pop_batch(batch, 3, nullptr), 3u);
+  EXPECT_EQ(q.pop_batch(batch, 3, {}), 3u);
   EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
 
   batch.clear();
-  EXPECT_EQ(q.pop_batch(batch, 8, nullptr), 2u);
+  EXPECT_EQ(q.pop_batch(batch, 8, {}), 2u);
   EXPECT_EQ(batch, (std::vector<int>{3, 4}));
   EXPECT_EQ(q.depth(), 0u);
 }
@@ -36,7 +36,7 @@ TEST(MpscQueueTest, PopBlocksForFirstItem) {
     EXPECT_TRUE(q.push(42));
   });
   // Blocks until the producer delivers, then returns the singleton batch.
-  EXPECT_EQ(q.pop_batch(batch, 8, nullptr), 1u);
+  EXPECT_EQ(q.pop_batch(batch, 8, {}), 1u);
   EXPECT_EQ(batch, (std::vector<int>{42}));
   producer.join();
 }
@@ -50,9 +50,7 @@ TEST(MpscQueueTest, StragglerGapHoldsBatchOpenForLateArrivals) {
   });
   // A generous sliding gap: the second push lands well inside it, so one
   // pop_batch call must absorb both items.
-  const MpscQueue<int>::FlushDeadline gap = [] {
-    return std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
-  };
+  const std::chrono::microseconds gap = std::chrono::milliseconds(250);
   std::vector<int> batch;
   EXPECT_EQ(q.pop_batch(batch, 8, gap), 2u);
   EXPECT_EQ(batch, (std::vector<int>{1, 2}));
@@ -64,9 +62,7 @@ TEST(MpscQueueTest, StragglerGapFlushesAfterOneQuietGap) {
   ASSERT_TRUE(q.push(7));
   // A tiny gap with no further arrivals: the batch must close on its own
   // (bounded wait), not hang until max_items fills.
-  const MpscQueue<int>::FlushDeadline gap = [] {
-    return std::chrono::steady_clock::now() + std::chrono::microseconds(200);
-  };
+  const std::chrono::microseconds gap = std::chrono::microseconds(200);
   std::vector<int> batch;
   const auto t0 = std::chrono::steady_clock::now();
   EXPECT_EQ(q.pop_batch(batch, 1024, gap), 1u);
@@ -77,9 +73,7 @@ TEST(MpscQueueTest, StragglerGapFlushesAfterOneQuietGap) {
 TEST(MpscQueueTest, MaxItemsIsAHardCap) {
   MpscQueue<int> q(64);
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.push(i));
-  const MpscQueue<int>::FlushDeadline gap = [] {
-    return std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  };
+  const std::chrono::microseconds gap = std::chrono::seconds(10);
   std::vector<int> batch;
   // Even with an enormous gap, the cap closes the batch immediately.
   EXPECT_EQ(q.pop_batch(batch, 4, gap), 4u);
@@ -95,11 +89,11 @@ TEST(MpscQueueTest, CloseDrainsResidualItemsThenReturnsZero) {
 
   std::vector<int> batch;
   // Residual items still drain after close...
-  EXPECT_EQ(q.pop_batch(batch, 8, nullptr), 2u);
+  EXPECT_EQ(q.pop_batch(batch, 8, {}), 2u);
   EXPECT_EQ(batch, (std::vector<int>{1, 2}));
   // ...and only then does pop report exhaustion.
   batch.clear();
-  EXPECT_EQ(q.pop_batch(batch, 8, nullptr), 0u);
+  EXPECT_EQ(q.pop_batch(batch, 8, {}), 0u);
   EXPECT_TRUE(q.closed());
 }
 
@@ -110,7 +104,7 @@ TEST(MpscQueueTest, CloseWakesABlockedConsumer) {
     q.close();
   });
   std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(batch, 8, nullptr), 0u);
+  EXPECT_EQ(q.pop_batch(batch, 8, {}), 0u);
   closer.join();
 }
 
@@ -127,11 +121,11 @@ TEST(MpscQueueTest, CapacityBlocksProducerUntilConsumerDrains) {
   EXPECT_FALSE(third_pushed.load());
 
   std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(batch, 8, nullptr), 2u);
+  EXPECT_EQ(q.pop_batch(batch, 8, {}), 2u);
   producer.join();
   EXPECT_TRUE(third_pushed.load());
   batch.clear();
-  EXPECT_EQ(q.pop_batch(batch, 8, nullptr), 1u);
+  EXPECT_EQ(q.pop_batch(batch, 8, {}), 1u);
   EXPECT_EQ(batch, (std::vector<int>{3}));
 }
 
@@ -143,7 +137,7 @@ TEST(MpscQueueTest, StatsTrackDepthHighWaterAndPushed) {
   EXPECT_EQ(q.high_water(), 5u);
   EXPECT_EQ(q.pushed(), 5u);
   std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(batch, 8, nullptr), 5u);
+  EXPECT_EQ(q.pop_batch(batch, 8, {}), 5u);
   EXPECT_EQ(q.depth(), 0u);
   EXPECT_EQ(q.high_water(), 5u);  // high water sticks
   EXPECT_EQ(q.pushed(), 5u);
@@ -166,7 +160,7 @@ TEST(MpscQueueTest, ManyProducersNothingLostOrDuplicated) {
   std::vector<int> batch;
   while (all.size() < kProducers * kPerProducer) {
     batch.clear();
-    const std::size_t n = q.pop_batch(batch, 32, nullptr);
+    const std::size_t n = q.pop_batch(batch, 32, {});
     ASSERT_GT(n, 0u);
     all.insert(all.end(), batch.begin(), batch.end());
   }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "service/seeded_service.h"
 #include "service/service_bench.h"
 #include "store/ycsb_runner.h"
 
@@ -387,6 +388,88 @@ TEST(KvServiceTxnTest, EmptyTxnCommitsTrivially) {
   EXPECT_TRUE(out.results.empty());
   service.shutdown();
   EXPECT_EQ(service.stats().txns, 0u);
+}
+
+// The txn step machine's action order, traced on the seeded driver (one
+// client, no threads): "admit 0 1", "prepare 0 1", ..., "release 0 1".
+struct TxnTrace {
+  std::vector<std::string> actions;
+  TxnOutcome outcome;
+  std::uint64_t barriers = 0;
+};
+
+TxnTrace trace_txn(const ServiceConfig& cfg, const std::vector<TxnOp>& ops) {
+  SeededService service(cfg, /*schedule_seed=*/3);
+  TxnTrace trace;
+  service.on_action = [&trace](std::size_t, const TxnAction& a) {
+    std::string line;
+    switch (a.kind) {
+      case TxnAction::Kind::kAdmit:
+        line = "admit";
+        break;
+      case TxnAction::Kind::kWave:
+        line = a.requests[0].op == OpType::kTxnPrepare    ? "prepare"
+               : a.requests[0].op == OpType::kTxnDecide   ? "decide"
+               : a.requests[0].op == OpType::kTxnFinalize ? "finalize"
+                                                          : "abort";
+        break;
+      case TxnAction::Kind::kRelease:
+        line = "release";
+        break;
+      case TxnAction::Kind::kDone:
+        line = "done";
+        break;
+    }
+    for (std::size_t s : a.shards) line += " " + std::to_string(s);
+    trace.actions.push_back(line);
+  };
+  bool submitted = false;
+  service.add_client([&] {
+    if (submitted) return false;
+    submitted = true;
+    service.submit_txn(0, ops, [&trace](TxnOutcome&& o) {
+      trace.outcome = std::move(o);
+    });
+    return true;
+  });
+  service.shutdown();
+  trace.barriers = service.stats().barriers;
+  return trace;
+}
+
+TEST(TxnStepOrderTest, MutatingTxnReleasesOnlyAfterTheLastFinalize) {
+  const TxnTrace t =
+      trace_txn(txn_config(2), {{OpType::kPut, key_on_shard(2, 1, "b-"), "b"},
+                                {OpType::kPut, key_on_shard(2, 0, "a-"), "a"}});
+  EXPECT_TRUE(t.outcome.committed);
+  EXPECT_EQ(t.actions,
+            (std::vector<std::string>{"admit 0 1", "prepare 0 1", "decide 0",
+                                      "finalize 1", "release 0 1"}));
+  EXPECT_EQ(t.barriers, 4u) << "prepare on both shards, decide, finalize";
+}
+
+TEST(TxnStepOrderTest, ReadOnlyTxnStopsAfterPrepareWithNoBarrier) {
+  const TxnTrace t =
+      trace_txn(txn_config(2), {{OpType::kGet, key_on_shard(2, 0, "a-"), ""},
+                                {OpType::kGet, key_on_shard(2, 1, "b-"), ""}});
+  EXPECT_TRUE(t.outcome.committed);
+  EXPECT_EQ(t.actions, (std::vector<std::string>{"admit 0 1", "prepare 0 1",
+                                                 "release 0 1"}));
+  EXPECT_EQ(t.barriers, 0u);
+}
+
+TEST(TxnStepOrderTest, NoVoteAbortsOnlyTheYesVotingMutatingShards) {
+  // Shard 0 only reads, shard 1 stages a put, shard 2's oversized value
+  // votes no: only shard 1 has a journal to roll back.
+  const TxnTrace t = trace_txn(
+      txn_config(3),
+      {{OpType::kGet, key_on_shard(3, 0, "a-"), ""},
+       {OpType::kPut, key_on_shard(3, 1, "b-"), "fine"},
+       {OpType::kPut, key_on_shard(3, 2, "c-"), std::string(70000, 'x')}});
+  EXPECT_FALSE(t.outcome.committed);
+  EXPECT_EQ(t.actions,
+            (std::vector<std::string>{"admit 0 1 2", "prepare 0 1 2",
+                                      "abort 1", "release 0 1 2"}));
 }
 
 TEST(ServiceBenchTest, DigestIsDeterministicAndThreadCountInvariant) {

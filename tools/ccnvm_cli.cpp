@@ -551,6 +551,11 @@ int cmd_fuzz(int argc, char** argv) {
               static_cast<unsigned long long>(result.reads_compared),
               static_cast<unsigned long long>(result.checks),
               static_cast<unsigned long long>(result.failures.size()));
+  if (result.engine == fuzz::Engine::kTxn) {
+    std::printf("  txns aborted %llu  power cuts inside an abort %llu\n",
+                static_cast<unsigned long long>(result.aborts),
+                static_cast<unsigned long long>(result.abort_cuts));
+  }
   if (!result.ok()) {
     print_failures(result, out_path);
     return 1;
