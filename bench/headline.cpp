@@ -191,11 +191,14 @@ int main(int argc, char** argv) {
          "ops/s"});
     // Pure ALU spin: crypto-free machine-speed probe. bench_gate divides
     // the throughput ratios by this ratio so a slower/throttled CI host
-    // doesn't read as a code regression.
+    // doesn't read as a code regression. The empty asm makes `x` opaque at
+    // every step; without it the compiler folds the 256-step affine chain
+    // into one multiply-add and the spin reads ~1000x the host's speed.
     doc.metrics.push_back({"calibration/spin", measure_ops_per_sec([&] {
                              std::uint64_t x = sink | 1;
                              for (int i = 0; i < 256; ++i) {
                                x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+                               asm volatile("" : "+r"(x));
                              }
                              sink += x;
                            }),

@@ -34,12 +34,19 @@
 // the batch kernel at ~0.2x — so the gate refuses (exit 2) when the two
 // objects differ. Run the candidate under the baseline's CCNVM_CRYPTO cap.
 //
+// Spin window: a candidate/baseline spin ratio outside [1/8, 8] is not a
+// host-speed difference but a broken probe — a compiler that folds the
+// spin loop reads ~1000x fast, which would score every metric at
+// ~1/1000 or ~1000x and leave the gate unable to fail. The gate refuses
+// (exit 2) such a pair, as it refuses a tier mismatch.
+//
 // --self-test proves the gate can actually trip: the baseline replayed
 // against itself must pass, a synthetic candidate with all gated values
 // regressed 2x must fail on the geomean, a candidate with one metric
 // regressed 4x masked by an equal speedup elsewhere — geomean-neutral —
-// must still fail on the per-metric floor, and a candidate from another
-// crypto tier must be refused.
+// must still fail on the per-metric floor, a candidate from another
+// crypto tier must be refused, and so must a candidate whose spin was
+// folded.
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -55,6 +62,7 @@ namespace {
 constexpr double kDefaultThreshold = 0.85;
 constexpr double kDefaultFloor = 0.70;
 constexpr char kSpinMetric[] = "calibration/spin";
+constexpr double kMaxSpinRatio = 8.0;  // window [1/8, 8] on cand/base spin
 constexpr char kThroughputPrefix[] = "throughput/";
 constexpr char kRecoveryPrefix[] = "recovery/";
 
@@ -141,6 +149,27 @@ bool same_tiers(const BenchFile& baseline, const BenchFile& candidate) {
   return false;
 }
 
+/// False (with a message) when the candidate/baseline spin ratio leaves
+/// the [1/kMaxSpinRatio, kMaxSpinRatio] window: one side's probe is
+/// broken, so calibrating by it would make every score meaningless.
+bool spin_in_window(const BenchFile& baseline, const BenchFile& candidate) {
+  const auto base = baseline.metrics.find(kSpinMetric);
+  const auto cand = candidate.metrics.find(kSpinMetric);
+  if (base == baseline.metrics.end() || cand == candidate.metrics.end() ||
+      base->second <= 0 || cand->second <= 0) {
+    return true;  // no calibration: run_gate compares raw ratios
+  }
+  const double ratio = cand->second / base->second;
+  if (ratio >= 1.0 / kMaxSpinRatio && ratio <= kMaxSpinRatio) return true;
+  std::fprintf(stderr,
+               "bench_gate: spin ratio %.4gx (baseline %.4g, candidate %.4g) "
+               "is outside [1/%g, %g]: a spin loop was folded by the "
+               "compiler or the hosts are not comparable\n",
+               ratio, base->second, cand->second, kMaxSpinRatio,
+               kMaxSpinRatio);
+  return false;
+}
+
 struct GateResult {
   bool pass = false;
   double geomean = 0.0;
@@ -224,7 +253,7 @@ int self_test(const std::string& baseline_path) {
   if (!baseline_file) return 2;
   const std::map<std::string, double>& baseline = baseline_file->metrics;
 
-  std::printf("--- self-test 1/4: baseline vs itself must pass ---\n");
+  std::printf("--- self-test 1/5: baseline vs itself must pass ---\n");
   const GateResult same =
       run_gate(baseline, baseline, kDefaultThreshold, kDefaultFloor);
   if (!same.pass || same.compared == 0) {
@@ -232,7 +261,7 @@ int self_test(const std::string& baseline_path) {
     return 1;
   }
 
-  std::printf("--- self-test 2/4: planted 2x slowdown must fail ---\n");
+  std::printf("--- self-test 2/5: planted 2x slowdown must fail ---\n");
   std::map<std::string, double> slowed = baseline;
   for (auto& [name, value] : slowed) {
     bool lower_is_better = false;
@@ -249,7 +278,7 @@ int self_test(const std::string& baseline_path) {
   }
 
   std::printf(
-      "--- self-test 3/4: masked 4x regression must fail on the floor ---\n");
+      "--- self-test 3/5: masked 4x regression must fail on the floor ---\n");
   // One gated metric craters 4x while another speeds up 4x: the geomean
   // is unchanged, so only the per-metric floor can catch it. This is the
   // exact blind spot the floor exists for.
@@ -284,7 +313,7 @@ int self_test(const std::string& baseline_path) {
     return 1;
   }
 
-  std::printf("--- self-test 4/4: a candidate from another crypto tier must "
+  std::printf("--- self-test 4/5: a candidate from another crypto tier must "
               "be refused ---\n");
   BenchFile other_tier = *baseline_file;
   other_tier.crypto = "{\"aes\":\"another-tier\"}";
@@ -294,9 +323,20 @@ int self_test(const std::string& baseline_path) {
                  "refused\n");
     return 1;
   }
+  std::printf("--- self-test 5/5: a candidate with a folded spin must be "
+              "refused ---\n");
+  BenchFile folded = *baseline_file;
+  folded.metrics[kSpinMetric] *= 1000.0;
+  if (!spin_in_window(*baseline_file, *baseline_file) ||
+      spin_in_window(*baseline_file, folded)) {
+    std::fprintf(stderr,
+                 "bench_gate self-test: a folded spin was NOT refused, or "
+                 "the baseline's own spin was\n");
+    return 1;
+  }
   std::printf(
       "self-test ok: identity passes, 2x trips geomean, masked 4x trips "
-      "floor, cross-tier refused\n");
+      "floor, cross-tier and folded-spin candidates refused\n");
   return 0;
 }
 
@@ -342,7 +382,10 @@ int main(int argc, char** argv) {
   const auto baseline = parse_bench(argv[1]);
   const auto candidate = parse_bench(argv[2]);
   if (!baseline || !candidate) return 2;
-  if (!same_tiers(*baseline, *candidate)) return 2;
+  if (!same_tiers(*baseline, *candidate) ||
+      !spin_in_window(*baseline, *candidate)) {
+    return 2;
+  }
   const GateResult r =
       run_gate(baseline->metrics, candidate->metrics, threshold, floor);
   if (r.compared == 0) return 2;
