@@ -110,10 +110,9 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
   cfg.design.key_seed = derive_seed(case_seed, 0x7a9);
   if (file_backend) cfg.design.backend_factory = make_file_backend;
   service::SeededService service(cfg, derive_seed(case_seed, 0x5c4ed));
-  std::vector<core::SecureNvmBase*> bases;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    bases.push_back(&service.engine_base(s));
-  }
+  static_assert(kShards == 2);
+  const std::vector<core::SecureNvmBase*> bases = {&service.engine_base(0),
+                                                   &service.engine_base(1)};
 
   // Crash sampling: none (run both oracles), a step-budget power cut
   // (lands between scheduler steps), or an armed TxnCrashPhase hook
@@ -171,11 +170,8 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
   const auto finish = [&](std::size_t c, service::TxnOutcome&& o) {
     TxnRecord& rec = in_flight[c];
     rec.committed = o.committed;
-    if (o.committed) {
-      rec.commit_seq = ++next_commit_seq;
-    } else {
-      ++out.aborts;
-    }
+    rec.commit_seq = o.committed ? ++next_commit_seq : 0;
+    out.aborts += o.committed ? 0 : 1;
     for (std::size_t i = 0; o.committed && i < rec.ops.size(); ++i) {
       if (rec.ops[i].kind != Kind::kRead) continue;
       const std::optional<std::string>& got = o.results[i].value;

@@ -35,7 +35,7 @@ class SeededService : private ServiceCore {
 
   /// Adds a client and returns its index; add every client before step().
   std::size_t add_client(ClientStep next) {
-    clients_.push_back({std::move(next)});
+    clients_.emplace_back().next = std::move(next);
     return clients_.size() - 1;
   }
 

@@ -209,10 +209,10 @@ TxnAction TxnMachine::wave(const std::vector<std::size_t>& shards,
   // choice deterministic for the out-of-process verifier.
   const auto coordinator = static_cast<std::uint32_t>(participants_.front());
   for (std::size_t s : shards) {
-    a.requests.push_back(
-        {op, "", "",
-         op == OpType::kTxnPrepare ? per_shard_[s] : std::vector<TxnOp>{},
-         id_, coordinator});
+    Request& r = a.requests.emplace_back(op, "");
+    if (op == OpType::kTxnPrepare) r.txn_ops = per_shard_[s];
+    r.txn_id = id_;
+    r.txn_coordinator = coordinator;
   }
   return a;
 }

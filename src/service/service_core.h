@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.h"
@@ -61,6 +62,10 @@ struct Result {
 /// `done` is the threaded driver's ack, fulfilled only after the batch's
 /// persist barrier (group commit); the seeded driver leaves it unset.
 struct Request {
+  Request() = default;
+  Request(OpType o, std::string k, std::string v = {})
+      : op(o), key(std::move(k)), value(std::move(v)) {}
+
   OpType op = OpType::kGet;
   std::string key;
   std::string value;  // kPut only
