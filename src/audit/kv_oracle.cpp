@@ -77,8 +77,7 @@ std::vector<store::SecureKvStore> open_shard_stores(
         *engines[s], config,
         [&stores, s](std::uint64_t txn_id, std::uint32_t coordinator) {
           return coordinator < s &&
-                 stores[coordinator].last_txn_decision() ==
-                     std::optional<std::uint64_t>(txn_id);
+                 stores[coordinator].decided_commit(txn_id);
         }));
   }
   return stores;

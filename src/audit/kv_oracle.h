@@ -83,7 +83,8 @@ struct ReopenedStore {
 
 /// Opens the store of every recovered shard engine of a sharded KV
 /// service, in shard order, resolving each prepared cross-shard txn
-/// against its coordinator's decision line. A txn's coordinator is its
+/// against its coordinator's decision line (SecureKvStore::
+/// decided_commit). A txn's coordinator is its
 /// lowest participant, so that line is open before any other
 /// participant's journal asks for it; a self-coordinated txn whose own
 /// decision line already failed to answer is undecided: presumed abort.

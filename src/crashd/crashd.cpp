@@ -632,7 +632,7 @@ int run_worker(Family family, const std::string& image_path,
 
   service::run_clients(sc.threads, [&](std::size_t t) {
     // A unit returns once it is durable (the store's op, or KvService's
-    // ack-after-barrier contract; submit_txn after every touched shard's);
+    // ack-after-barrier contract; submit_txn once its commit point's);
     // the ack byte re-promises it to the verifier.
     Rng rng(sc.thread_seeds[t]);
     std::uint64_t put_tag = 0;

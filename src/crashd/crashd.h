@@ -76,7 +76,9 @@ enum class Family { kSingle, kService, kTxn };
 ///     shards, at a 2PC wave boundary. The committing txn holds BOTH
 ///     shards' admission locks across its waves, so every drain worker is
 ///     parked on an empty queue (a single-shard txn's waves would leave
-///     the other worker live, so they are not counted).
+///     the other worker live, so they are not counted). Wave 2 fires
+///     before the finalize is posted: after the post, the other shard's
+///     worker may be mid-line-write.
 enum class KillEvent {
   kNone,       // no kill: run to a clean quiesced shutdown
   kOpApplied,  // single: an op was applied, before its ack

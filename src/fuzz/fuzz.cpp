@@ -122,6 +122,7 @@ void fold_batch(const std::vector<CaseOutcome>& outcomes,
     result.checks += c.checks;
     result.aborts += c.aborts;
     result.abort_cuts += c.abort_cuts;
+    result.ack_cuts += c.ack_cuts;
     fold_digest(result.digest, c.digest);
     if (!c.ok) {
       FuzzFailure failure;

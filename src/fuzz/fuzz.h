@@ -67,6 +67,7 @@ struct CaseOutcome {
   std::uint64_t checks = 0;  // auditor checks + engine assertions
   std::uint64_t aborts = 0;      // txn engine: txns a no vote aborted
   std::uint64_t abort_cuts = 0;  // txn engine: power cuts inside an abort
+  std::uint64_t ack_cuts = 0;    // txn engine: cuts with an acked finalize queued
   std::uint64_t digest = 0;
 };
 
@@ -128,6 +129,7 @@ struct FuzzCampaignResult {
   std::uint64_t checks = 0;
   std::uint64_t aborts = 0;
   std::uint64_t abort_cuts = 0;
+  std::uint64_t ack_cuts = 0;
   std::uint64_t digest = 0;  // fold of case digests in iteration order
   std::vector<FuzzFailure> failures;
 

@@ -2,11 +2,15 @@
 // driver (service/seeded_service.h), checked for serializability and
 // crash atomicity.
 //
-// Each case runs a 2-shard service — the shipped ServiceCore and
-// TxnMachine: admission, PREPARE, DECIDE + FINALIZE or the ABORT wave,
-// release — with 2-3 clients, and the driver's seeded scheduler
-// interleaves client steps with shard batches, so a case seed replays
-// bit-identically. Some cases shrink the store heap so prepares vote no.
+// Each case runs a 2- or 3-shard service — the shipped ServiceCore and
+// TxnMachine: admission, a one-phase COMMIT or PREPARE, DECIDE + a posted
+// FINALIZE or the ABORT wave, release — with 2-3 clients, and the
+// driver's seeded scheduler interleaves client steps with shard batches,
+// so a case seed replays bit-identically. Some cases shrink the store
+// heap so prepares vote no. Three shards let a txn on {A, C} decide on A
+// while an acked txn on {A, B} still has its finalize queued on B — the
+// race reopen's decision rule exists for; the campaign counts the power
+// cuts that land in that window (ack_cuts).
 //
 // Written values are tagged with their writer's txn id, so the recorded
 // history carries exact read observations; aborted txns enter it
@@ -46,7 +50,6 @@ namespace {
 using audit::kCcSweepKinds;
 using Kind = TxnOpRec::Kind;
 
-constexpr std::size_t kShards = 2;
 constexpr std::size_t kKeys = 12;
 
 /// Per-service-shard store geometry: single-shard internally (the service
@@ -101,7 +104,7 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
   const std::vector<std::string> keys = audit::numbered_keys("tx-", kKeys);
 
   service::ServiceConfig cfg;
-  cfg.shards = kShards;
+  cfg.shards = 2 + rng.below(2);
   cfg.kind = kCcSweepKinds[rng.below(kCcSweepKinds.size())];
   cfg.store = txn_store_config();
   // A tight heap makes some prepares vote no, so the abort wave runs.
@@ -110,14 +113,19 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
   cfg.design.key_seed = derive_seed(case_seed, 0x7a9);
   if (file_backend) cfg.design.backend_factory = make_file_backend;
   service::SeededService service(cfg, derive_seed(case_seed, 0x5c4ed));
-  static_assert(kShards == 2);
-  const std::vector<core::SecureNvmBase*> bases = {&service.engine_base(0),
-                                                   &service.engine_base(1)};
+  // A slow shard keeps posted finalizes queued while other txns run on.
+  if (rng.chance(0.5)) service.set_slow_shard(rng.below(cfg.shards));
+  std::vector<core::SecureNvmBase*> bases;
+  for (std::size_t s = 0; s < cfg.shards; ++s) {
+    bases.push_back(&service.engine_base(s));
+  }
 
   // Crash sampling: none (run both oracles), a step-budget power cut
-  // (lands between scheduler steps), or an armed TxnCrashPhase hook
-  // (lands inside a store txn call — mid-redo, after the status flip,
-  // inside an abort...).
+  // (lands between scheduler steps), an armed TxnCrashPhase hook (lands
+  // inside a store txn call — mid-redo, after the status flip, inside an
+  // abort...), or a cut at the first decision line written while an
+  // acked txn's finalize is still queued (the early ack's window: reopen
+  // must still commit that txn against the younger decision).
   std::uint64_t kill_step = 0;  // 0 = no step-budget cut
   std::uint64_t hook_countdown = 0;
   using Phase = store::SecureKvStore::TxnCrashPhase;
@@ -126,15 +134,25 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
     const std::uint64_t roll = rng.below(100);
     if (roll < 30) {
       kill_step = 1 + rng.below(static_cast<std::uint64_t>(max_ops) * 4 + 1);
-    } else if (roll < 60) {
+    } else if (roll < 55) {
       armed = static_cast<Phase>(rng.below(7));
-      hook_countdown = 1 + rng.below(8);
-      service.engine_store(rng.below(kShards)).set_txn_test_hook(
+      // Aborts are rare (a no vote needs a full heap): cut in an early one.
+      hook_countdown =
+          1 + rng.below(armed == Phase::kAfterAbortRelease ? 2 : 8);
+      service.engine_store(rng.below(cfg.shards)).set_txn_test_hook(
           [&hook_countdown, armed](Phase p) {
             if (p == armed && --hook_countdown == 0) {
               throw core::InjectedPowerLoss{};
             }
           });
+    } else if (roll < 65) {
+      for (std::size_t s = 0; s < cfg.shards; ++s) {
+        service.engine_store(s).set_txn_test_hook([&service](Phase p) {
+          if (p == Phase::kAfterDecide && service.acked_finalize_queued()) {
+            throw core::InjectedPowerLoss{};
+          }
+        });
+      }
     }
   }
 
@@ -157,7 +175,8 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
       forged.ops.push_back(
           TxnOpRec{Kind::kWrite, k, value_tag(forged.id, k), std::nullopt});
     }
-    const std::size_t s = service::ServiceCore::shard_of(planted[0], kShards);
+    const std::size_t s =
+        service::ServiceCore::shard_of(planted[0], cfg.shards);
     CCNVM_CHECK_MSG(service.engine_store(s).put(
                         planted[0], value_tag(forged.id, planted[0])),
                     "txn fuzz: planted put rejected");
@@ -228,6 +247,7 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
     crashed = true;
     if (armed == Phase::kAfterAbortRelease) ++out.abort_cuts;
   }
+  if (crashed && service.acked_finalize_queued()) ++out.ack_cuts;
 
   if (!crashed) {
     service.shutdown();
@@ -236,7 +256,7 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
     ++out.checks;
 
     std::map<std::string, std::string> final_state;
-    for (std::size_t s = 0; s < kShards; ++s) {
+    for (std::size_t s = 0; s < cfg.shards; ++s) {
       service.engine_store(s).for_each(
           [&](std::string_view k, std::string_view v) {
             final_state.emplace(std::string(k), std::string(v));
@@ -251,7 +271,7 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
     for (const auto& [k, v] : final_state) {
       fold_digest(out.digest, splitmix64(k.size() * 131 + v.size()));
     }
-    for (std::size_t s = 0; s < kShards; ++s) {
+    for (std::size_t s = 0; s < cfg.shards; ++s) {
       const store::StoreStats& st = service.engine_store(s).stats();
       fold_digest(out.digest, st.txn_commits);
       fold_digest(out.digest, st.txn_prepares);
@@ -259,7 +279,7 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
     return out;
   }
 
-  // Crash path: power-cut both shards, recover, and reopen them in shard
+  // Crash path: power-cut every shard, recover, and reopen them in shard
   // order with the coordinator's decision line as resolver — what
   // crashd's txn verifier does out of process.
   for (core::SecureNvmBase* base : bases) {
@@ -287,10 +307,11 @@ CaseOutcome run_txn_case(std::uint64_t case_seed, std::size_t max_ops,
     if (service.admitted(c)) model.submit(kv_unit(in_flight[c]), c);
   }
 
-  std::vector<audit::ReopenedStore> keyed(kShards);
-  for (std::size_t s = 0; s < kShards; ++s) keyed[s].kv = &reopened[s];
+  std::vector<audit::ReopenedStore> keyed(cfg.shards);
+  for (std::size_t s = 0; s < cfg.shards; ++s) keyed[s].kv = &reopened[s];
   for (const std::string& key : keys) {
-    keyed[service::ServiceCore::shard_of(key, kShards)].keys.push_back(key);
+    keyed[service::ServiceCore::shard_of(key, cfg.shards)].keys.push_back(
+        key);
   }
   // check_reopened checked every key, each in-flight txn and the stores'
   // live counts.

@@ -55,10 +55,15 @@ TxnOutcome KvService::submit_txn(const std::vector<TxnOp>& ops)
         // Ascending shard order: deadlock-free.
         for (std::size_t s : a.shards) shards_[s]->txn_mu.lock();
         break;
-      case TxnAction::Kind::kWave: {
+      case TxnAction::Kind::kWave:
+      case TxnAction::Kind::kPost: {
+        // A posted request's promise goes unobserved: the drain worker
+        // still applies and barriers it before completing the promise.
         std::vector<std::future<Result>> futs;
         for (std::size_t i = 0; i < a.shards.size(); ++i) {
-          futs.push_back(a.requests[i].done.get_future());
+          if (a.kind == TxnAction::Kind::kWave) {
+            futs.push_back(a.requests[i].done.get_future());
+          }
           CCNVM_CHECK_MSG(
               shards_[a.shards[i]]->queue.push(std::move(a.requests[i])),
               "service: submit_txn after shutdown");

@@ -58,7 +58,9 @@ class KvService : private ServiceCore {
 
   /// Atomically executes a multi-key transaction (blocking): runs a
   /// TxnMachine (service_core.h has the protocol), taking each shard's
-  /// admission mutex in ascending order. Requires
+  /// admission mutex in ascending order. Returns once the txn's commit
+  /// point is durable; a cross-shard commit's finalizes may still be
+  /// queued, so read stats() or an engine only after shutdown(). Requires
   /// ServiceConfig::store.txn_ops_capacity > 0.
   TxnOutcome submit_txn(const std::vector<TxnOp>& ops);
 

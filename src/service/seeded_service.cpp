@@ -28,6 +28,20 @@ void SeededService::submit_txn(std::size_t client,
   c.action = c.txn->step({});
 }
 
+bool SeededService::acked_finalize_queued() const {
+  for (const std::deque<Queued>& q : queues_) {
+    for (const Queued& entry : q) {
+      if (entry.first.op != OpType::kTxnFinalize) continue;
+      bool released = true;
+      for (const Client& c : clients_) {
+        if (c.txn && c.txn->id() == entry.first.txn_id) released = false;
+      }
+      if (released) return true;
+    }
+  }
+  return false;
+}
+
 bool SeededService::runnable(const Client& c) const {
   if (c.retired || c.waiting > 0) return false;
   if (c.txn && c.action.kind == TxnAction::Kind::kAdmit) {
@@ -39,13 +53,19 @@ bool SeededService::runnable(const Client& c) const {
 }
 
 bool SeededService::step() {
-  // Runnable units: clients first, then non-empty shards.
+  // Runnable units: clients first, then non-empty shards; the slow shard
+  // only when nothing else is runnable.
   std::vector<std::size_t> units;
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     if (runnable(clients_[i])) units.push_back(i);
   }
   for (std::size_t s = 0; s < queues_.size(); ++s) {
-    if (!queues_[s].empty()) units.push_back(clients_.size() + s);
+    if (!queues_[s].empty() && s != slow_) {
+      units.push_back(clients_.size() + s);
+    }
+  }
+  if (units.empty() && slow_ < queues_.size() && !queues_[slow_].empty()) {
+    units.push_back(clients_.size() + slow_);
   }
   if (units.empty()) return false;
   const std::size_t pick = units[rng_.below(units.size())];
@@ -81,6 +101,15 @@ void SeededService::run_client(std::size_t id) {
                }
              }});
       }
+      return;
+    case TxnAction::Kind::kPost:
+      // Nobody waits: the txn's next step (its release) is runnable now,
+      // and any step may run between the two.
+      for (std::size_t i = 0; i < a.shards.size(); ++i) {
+        queues_[a.shards[i]].push_back(
+            {std::move(a.requests[i]), [](Result&&) {}});
+      }
+      a = c.txn->step({});
       return;
     case TxnAction::Kind::kAdmit:
     case TxnAction::Kind::kRelease:

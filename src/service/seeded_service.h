@@ -48,6 +48,10 @@ class SeededService : private ServiceCore {
   void submit_txn(std::size_t client, const std::vector<TxnOp>& ops,
                   TxnDone done);
 
+  /// Makes `shard` slow, like a stalled drain worker: its batches run
+  /// only when no other unit is runnable. Default: no slow shard.
+  void set_slow_shard(std::size_t shard) { slow_ = shard; }
+
   /// Runs one seeded scheduling step; false once nothing is runnable.
   bool step();
 
@@ -57,6 +61,11 @@ class SeededService : private ServiceCore {
     return clients_[client].txn &&
            clients_[client].action.kind != TxnAction::Kind::kAdmit;
   }
+
+  /// Whether a posted FINALIZE of an acked (released) txn is still
+  /// queued — the window a power cut must survive by reopen's decision
+  /// rule alone.
+  bool acked_finalize_queued() const;
 
   /// Steps until nothing is runnable, then drains every engine's epoch.
   void shutdown() {
@@ -95,6 +104,7 @@ class SeededService : private ServiceCore {
   std::vector<std::deque<Queued>> queues_;
   std::vector<std::size_t> owner_;  // per shard: admitting client or kFree
   std::vector<Client> clients_;
+  std::size_t slow_ = kFree;  // the slow shard, if any
 };
 
 }  // namespace ccnvm::service

@@ -92,12 +92,12 @@ void ServiceCore::apply_batch(std::size_t shard,
         result.ok = kv.erase(r.key);
         if (result.ok) ++d.mutations;
         break;
-      case OpType::kTxnPrepare: {
+      case OpType::kTxnPrepare:
+      case OpType::kTxnCommit: {
         // Evaluate this shard's sub-ops with read-your-writes against the
-        // txn's own buffer, then stage + journal the mutations. Counting
-        // the prepare as a mutation makes the barrier below persist the
-        // journal BEFORE the vote ack — the shard's one barrier for the
-        // whole txn.
+        // txn's own buffer, then stage + journal the mutations (prepare)
+        // or commit them locally (one-phase). Counting either as a
+        // mutation makes the barrier below persist it BEFORE the ack.
         store::Txn txn = kv.begin_txn();
         result.txn_results.reserve(r.txn_ops.size());
         for (const TxnOp& op : r.txn_ops) {
@@ -120,12 +120,15 @@ void ServiceCore::apply_batch(std::size_t shard,
           result.txn_results.push_back(std::move(sub));
         }
         // A read-only participant has nothing to stage: it votes yes. A
-        // no vote means the store is full or an op was invalid.
+        // no vote means the store is full or an op was invalid; staging
+        // reclaimed what it took, so a one-phase no leaves nothing behind.
         if (txn.empty()) {
           result.ok = true;
           break;
         }
-        result.ok = kv.prepare_txn(txn, r.txn_id, r.txn_coordinator);
+        result.ok = r.op == OpType::kTxnCommit
+                        ? kv.commit_txn(txn)
+                        : kv.prepare_txn(txn, r.txn_id, r.txn_coordinator);
         ++(result.ok ? d.mutations : d.failed_puts);
         break;
       }
@@ -178,7 +181,6 @@ ServiceStats ServiceCore::stats() const {
 
 TxnMachine::TxnMachine(ServiceCore& core, const std::vector<TxnOp>& ops)
     : core_(core),
-      id_(core.next_txn_id_.fetch_add(1)),
       per_shard_(core.shards()),
       slot_of_(ops.size()),
       mutates_(core.shards(), false),
@@ -210,7 +212,9 @@ TxnAction TxnMachine::wave(const std::vector<std::size_t>& shards,
   const auto coordinator = static_cast<std::uint32_t>(participants_.front());
   for (std::size_t s : shards) {
     Request& r = a.requests.emplace_back(op, "");
-    if (op == OpType::kTxnPrepare) r.txn_ops = per_shard_[s];
+    if (op == OpType::kTxnPrepare || op == OpType::kTxnCommit) {
+      r.txn_ops = per_shard_[s];
+    }
     r.txn_id = id_;
     r.txn_coordinator = coordinator;
   }
@@ -230,8 +234,13 @@ TxnAction TxnMachine::step(std::vector<Result> results) {
       phase_ = Phase::kAdmitted;
       return {TxnAction::Kind::kAdmit, participants_, {}};
     case Phase::kAdmitted:
+      // Taken under admission, so ids grow in every shard's admission
+      // order — what lets reopen read a younger decision as a commit.
+      id_ = core_.next_txn_id_.fetch_add(1);
       phase_ = Phase::kPrepared;
-      return wave(participants_, OpType::kTxnPrepare);
+      return wave(participants_, participants_.size() == 1
+                                     ? OpType::kTxnCommit
+                                     : OpType::kTxnPrepare);
     case Phase::kPrepared: {
       bool all_ok = true;
       bool any_mutates = false;
@@ -244,10 +253,16 @@ TxnAction TxnMachine::step(std::vector<Result> results) {
         if (votes_[s].ok && mutates_[s]) to_abort.push_back(s);
       }
       committing_ = all_ok;
+      if (participants_.size() == 1) {
+        // One-phase: the wave committed (or staged nothing) already.
+        if (committing_ && any_mutates) wave_hook(0);
+        return release();
+      }
       if (!all_ok) {
         // Roll back every shard that DID stage (presumed abort would also
         // clean up on reopen, but live shards must release their
-        // journals).
+        // journals). The wave is waited for: reopen's decision rule needs
+        // every abort durable before the coordinator is released.
         if (to_abort.empty()) return release();
         phase_ = Phase::kLastWave;
         return wave(to_abort, OpType::kTxnAbort);
@@ -260,17 +275,22 @@ TxnAction TxnMachine::step(std::vector<Result> results) {
       return wave({participants_.front()}, OpType::kTxnDecide);
     }
     case Phase::kDecided: {
+      // Committed: the decision is durable, so the client is acked once
+      // the finalizes are posted — before the release, so each lands in
+      // its queue ahead of every later op on that shard.
       wave_hook(1);
+      wave_hook(2);  // the last point where every touched shard is idle
       std::vector<std::size_t> finalize_to;
       for (std::size_t s : participants_) {
         if (s != participants_.front() && mutates_[s]) finalize_to.push_back(s);
       }
       phase_ = Phase::kLastWave;
-      if (!finalize_to.empty()) return wave(finalize_to, OpType::kTxnFinalize);
-      [[fallthrough]];
+      if (finalize_to.empty()) return release();
+      TxnAction post = wave(finalize_to, OpType::kTxnFinalize);
+      post.kind = TxnAction::Kind::kPost;
+      return post;
     }
     case Phase::kLastWave:
-      if (committing_) wave_hook(2);
       return release();
     case Phase::kReleased:
       break;

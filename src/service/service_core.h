@@ -36,8 +36,9 @@ enum class OpType {
   kGet,
   kErase,
   kTxnPrepare,   // evaluate sub-ops + stage/journal (prepared); vote
+  kTxnCommit,    // one participant: evaluate + local commit_txn (1PC)
   kTxnDecide,    // coordinator only: decision line + local finalize
-  kTxnFinalize,  // non-coordinator participants: redo + release
+  kTxnFinalize,  // non-coordinator participants: redo + release (posted)
   kTxnAbort,     // roll back a prepared vote (some shard voted no)
 };
 
@@ -50,8 +51,8 @@ struct TxnOp {
 
 /// Outcome of one service operation. `ok` mirrors the store's return
 /// (put/erase success, get hit); `value` is set on get hits only. For a
-/// kTxnPrepare request `ok` is the shard's commit vote and `txn_results`
-/// carries the per-sub-op outcomes (queue order).
+/// kTxnPrepare request `ok` is the shard's commit vote (kTxnCommit: its
+/// commit) and `txn_results` carries the per-sub-op outcomes (queue order).
 struct Result {
   bool ok = false;
   std::optional<std::string> value;
@@ -139,11 +140,13 @@ struct ServiceConfig {
   std::function<void()> after_apply_hook;
   std::function<void()> after_barrier_hook;
   /// Txn crash hook (null in production), called by the TxnMachine on
-  /// the client's thread after each 2PC wave's acks: wave 0 = prepares,
-  /// 1 = decision, 2 = finalizes. At a wave boundary every touched shard
-  /// is quiescent (admission keeps its queue empty), so crashd can SIGKILL
-  /// there — if the txn touches every shard, which `participants` (the
-  /// touched-shard count) lets the harness require.
+  /// the client's thread at a committing txn's wave boundaries: wave 0
+  /// after the prepare (or one-phase commit) acks, 1 after the decision's
+  /// ack, 2 just BEFORE the finalizes are posted — the last point where
+  /// every touched shard is quiescent (admission keeps its queue empty);
+  /// once posted, a finalize may be mid-line-write on its drain thread.
+  /// crashd SIGKILLs at these points — if the txn touches every shard,
+  /// which `participants` (the touched-shard count) lets it require.
   std::function<void(int wave, std::size_t participants)> txn_wave_hook;
 };
 
@@ -215,8 +218,10 @@ class ServiceCore {
 
   ServiceConfig config_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  /// Service-global txn ids: unique and monotonic, so a stale decision
-  /// line never matches a younger prepared txn.
+  /// Service-global txn ids, taken once admission is held (TxnMachine's
+  /// kAdmitted step): unique, and increasing in every shard's admission
+  /// order. Reopen commits a prepared txn iff its coordinator's decision
+  /// line holds its id or a younger one (SecureKvStore::decided_commit).
   std::atomic<std::uint64_t> next_txn_id_{1};
   std::atomic<std::uint64_t> txns_{0};
   std::atomic<std::uint64_t> multi_shard_txns_{0};
@@ -228,6 +233,7 @@ struct TxnAction {
   enum class Kind {
     kAdmit,    // take admission of `shards` (ascending), waiting if held
     kWave,     // push requests[i] to shards[i]; feed back every Result
+    kPost,     // push requests[i] to shards[i]; nobody waits, no results
     kRelease,  // drop admission of `shards`
     kDone,     // TxnMachine::outcome() is final
   };
@@ -240,13 +246,19 @@ struct TxnAction {
 /// both drivers run (docs/SERVICE.md §4 has the crash argument):
 ///  1. ADMIT every touched shard; single ops take admission around their
 ///     enqueue, so the txn is one atomic slot in each shard's history.
-///  2. PREPARE wave: each shard evaluates its reads (read-your-writes),
-///     stages + journals its mutations, and barriers before voting.
-///  3. All yes: DECIDE on the coordinator (the lowest touched shard; its
-///     decision line is the global commit point), then FINALIZE the other
-///     mutating shards. Any no: ABORT the shards that voted yes and staged.
-///     Read-only txns skip this step (no journal, no barrier).
-///  4. RELEASE every touched shard, after the last wave is acked.
+///     The txn id is taken once admission is held.
+///  2. One touched shard: a one-phase COMMIT wave evaluates the sub-ops
+///     and runs the store's local commit_txn under the batch's barrier;
+///     go to 5.
+///  3. PREPARE wave: each shard evaluates its reads (read-your-writes),
+///     stages + journals its mutations, and barriers before voting. Any
+///     no: ABORT the shards that voted yes and staged, and wait for it.
+///     Read-only txns skip to 5 (no journal, no barrier).
+///  4. All yes: DECIDE on the coordinator (the lowest touched shard; its
+///     decision line is the global commit point), then POST the FINALIZE
+///     to the other mutating shards without waiting for it.
+///  5. RELEASE every touched shard — after the post, so queue order puts
+///     the finalize ahead of every later op on its shard — and report.
 /// config.txn_wave_hook fires inside step().
 class TxnMachine {
  public:
@@ -261,6 +273,9 @@ class TxnMachine {
   /// Final once step() returned kDone.
   TxnOutcome& outcome() { return out_; }
 
+  /// The txn id; 0 until admission is held.
+  std::uint64_t id() const { return id_; }
+
  private:
   enum class Phase { kNew, kAdmitted, kPrepared, kDecided, kLastWave,
                      kReleased };
@@ -273,7 +288,7 @@ class TxnMachine {
   void wave_hook(int wave) const;
 
   ServiceCore& core_;
-  std::uint64_t id_;
+  std::uint64_t id_ = 0;
   std::vector<std::vector<TxnOp>> per_shard_;
   /// Input op i is per_shard_[slot_of_[i].first][slot_of_[i].second].
   std::vector<std::pair<std::size_t, std::size_t>> slot_of_;

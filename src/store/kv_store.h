@@ -133,8 +133,9 @@ class Txn {
 
 /// Answers "did transaction `txn_id`'s coordinator decide commit?" when a
 /// reopened store finds a prepared txn whose decision lives on another
-/// store (the service's 2PC — see kv_service.h). The coordinator itself
-/// never needs one: its own decision line answers first.
+/// store (the service's 2PC — see kv_service.h): the coordinator store's
+/// decided_commit(txn_id). The coordinator itself never needs one: its
+/// own decision line answers first.
 using TxnResolver =
     std::function<bool(std::uint64_t txn_id, std::uint32_t coordinator)>;
 
@@ -241,8 +242,21 @@ class SecureKvStore {
   void abort_prepared_txn(std::uint64_t txn_id);
 
   /// The txn id this store last decided commit for (its decision line),
-  /// if any — what a TxnResolver for other participants reads.
+  /// if any.
   std::optional<std::uint64_t> last_txn_decision();
+
+  /// Reopen's commit rule for a prepared txn this store coordinates: its
+  /// decision line holds `txn_id` or a younger id. Sound because the
+  /// service takes txn ids in each shard's admission order and makes an
+  /// aborted txn's abort wave durable on every participant before it
+  /// releases the coordinator — so while `txn_id` is still prepared
+  /// anywhere, a younger decision here means `txn_id` decided commit and
+  /// its acked finalize was cut off (docs/STORE.md §7). What both
+  /// open()'s own-line check and a TxnResolver call.
+  bool decided_commit(std::uint64_t txn_id) {
+    const std::optional<std::uint64_t> decided = last_txn_decision();
+    return decided.has_value() && *decided >= txn_id;
+  }
 
   /// Crash-injection points inside the txn protocol, for the fuzz harness.
   enum class TxnCrashPhase {

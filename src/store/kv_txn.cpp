@@ -410,11 +410,10 @@ void SecureKvStore::resolve_txn_journal(const TxnResolver& resolver) {
   bool commit = state == kTxnCommitted;
   if (!commit) {
     // Prepared: the coordinator's decision is the truth. Our own decision
-    // line answers when we coordinated this txn (ids are globally unique,
-    // so a stale decision for an older txn never matches); otherwise the
-    // resolver asks the coordinator's store. No affirmative answer means
-    // presumed abort.
-    commit = last_txn_decision() == std::optional<std::uint64_t>(txn_id) ||
+    // line answers when we coordinated this txn (a stale decision for an
+    // older txn never reaches its id); otherwise the resolver asks the
+    // coordinator's store. No affirmative answer means presumed abort.
+    commit = decided_commit(txn_id) ||
              (resolver && resolver(txn_id, coordinator));
   }
   if (commit) {

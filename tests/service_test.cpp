@@ -334,9 +334,8 @@ TEST(KvServiceTxnTest, OneVoteNoAbortsEveryShard) {
 
 TEST(KvServiceTxnTest, TxnSubOpsShareOneBarrierPerShardPerWave) {
   // Three puts on one shard as singles: three barriers. As one txn: the
-  // prepare batch pays ONE barrier for all three (plus one for the
-  // decide/finalize batch) — the group-commit amortization the txn path
-  // inherits.
+  // one-phase commit batch pays ONE barrier for all three — the
+  // group-commit amortization the txn path inherits.
   KvService service(txn_config(1));
   ASSERT_TRUE(service
                   .submit_txn({{OpType::kPut, "t0", "v"},
@@ -345,7 +344,7 @@ TEST(KvServiceTxnTest, TxnSubOpsShareOneBarrierPerShardPerWave) {
                   .committed);
   service.shutdown();
   const ServiceStats s = service.stats();
-  EXPECT_EQ(s.barriers, 2u) << "prepare + decide, one barrier each";
+  EXPECT_EQ(s.barriers, 1u) << "one-phase commit: one wave, one barrier";
   EXPECT_EQ(s.txns, 1u);
   EXPECT_EQ(s.multi_shard_txns, 0u);
 }
@@ -373,12 +372,41 @@ TEST(KvServiceTxnTest, WaveHooksFireInOrderForMutatingTxnsOnly) {
     waves.push_back(wave);
   };
   KvService service(cfg);
-  ASSERT_TRUE(service.submit_txn({{OpType::kGet, "x", ""}}).committed);
+  const std::string ka = key_on_shard(2, 0, "a-");
+  const std::string kb = key_on_shard(2, 1, "b-");
+  ASSERT_TRUE(service.submit_txn({{OpType::kGet, ka, ""},
+                                  {OpType::kGet, kb, ""}})
+                  .committed);
   EXPECT_TRUE(waves.empty()) << "read-only txns have no commit waves";
-  ASSERT_TRUE(
-      service.submit_txn({{OpType::kPut, "x", "v"}}).committed);
+  ASSERT_TRUE(service.submit_txn({{OpType::kPut, ka, "v"}}).committed);
+  EXPECT_EQ(waves, (std::vector<int>{0})) << "one-phase: one wave";
+  waves.clear();
+  ASSERT_TRUE(service.submit_txn({{OpType::kPut, ka, "v"},
+                                  {OpType::kPut, kb, "v"}})
+                  .committed);
   EXPECT_EQ(waves, (std::vector<int>{0, 1, 2}));
   service.shutdown();
+}
+
+TEST(KvServiceTxnTest, OnlyCrossShardCommitsWriteADecisionLine) {
+  KvService service(txn_config(2));
+  const std::string ka = key_on_shard(2, 0, "a-");
+  const std::string kb = key_on_shard(2, 1, "b-");
+  ASSERT_TRUE(service.submit_txn({{OpType::kPut, ka, "1"}}).committed);
+  ASSERT_TRUE(service.submit_txn({{OpType::kPut, kb, "1"}}).committed);
+  ASSERT_TRUE(service.submit_txn({{OpType::kPut, ka, "2"},
+                                  {OpType::kPut, kb, "2"}})
+                  .committed);
+  // Queue order: the posted finalize lands before this read on shard 1.
+  EXPECT_EQ(*service.get(kb).value, "2");
+  service.shutdown();
+  // The one-phase commits took ids 1 and 2 and wrote no decision; the
+  // cross-shard txn's coordinator (shard 0) decided id 3.
+  EXPECT_EQ(service.engine_store(0).last_txn_decision(),
+            std::optional<std::uint64_t>(3));
+  EXPECT_EQ(service.engine_store(1).last_txn_decision(), std::nullopt);
+  EXPECT_EQ(service.stats().txns, 3u);
+  EXPECT_EQ(service.stats().multi_shard_txns, 1u);
 }
 
 TEST(KvServiceTxnTest, EmptyTxnCommitsTrivially) {
@@ -408,10 +436,13 @@ TxnTrace trace_txn(const ServiceConfig& cfg, const std::vector<TxnOp>& ops) {
         line = "admit";
         break;
       case TxnAction::Kind::kWave:
-        line = a.requests[0].op == OpType::kTxnPrepare    ? "prepare"
-               : a.requests[0].op == OpType::kTxnDecide   ? "decide"
-               : a.requests[0].op == OpType::kTxnFinalize ? "finalize"
-                                                          : "abort";
+      case TxnAction::Kind::kPost:
+        line = a.kind == TxnAction::Kind::kPost ? "post " : "";
+        line += a.requests[0].op == OpType::kTxnPrepare    ? "prepare"
+                : a.requests[0].op == OpType::kTxnCommit   ? "commit"
+                : a.requests[0].op == OpType::kTxnDecide   ? "decide"
+                : a.requests[0].op == OpType::kTxnFinalize ? "finalize"
+                                                           : "abort";
         break;
       case TxnAction::Kind::kRelease:
         line = "release";
@@ -437,15 +468,35 @@ TxnTrace trace_txn(const ServiceConfig& cfg, const std::vector<TxnOp>& ops) {
   return trace;
 }
 
-TEST(TxnStepOrderTest, MutatingTxnReleasesOnlyAfterTheLastFinalize) {
+TEST(TxnStepOrderTest, CrossShardTxnPostsTheFinalizeBeforeRelease) {
   const TxnTrace t =
       trace_txn(txn_config(2), {{OpType::kPut, key_on_shard(2, 1, "b-"), "b"},
                                 {OpType::kPut, key_on_shard(2, 0, "a-"), "a"}});
   EXPECT_TRUE(t.outcome.committed);
   EXPECT_EQ(t.actions,
             (std::vector<std::string>{"admit 0 1", "prepare 0 1", "decide 0",
-                                      "finalize 1", "release 0 1"}));
+                                      "post finalize 1", "release 0 1"}));
   EXPECT_EQ(t.barriers, 4u) << "prepare on both shards, decide, finalize";
+}
+
+TEST(TxnStepOrderTest, SingleShardTxnCommitsInOnePhase) {
+  const TxnTrace t =
+      trace_txn(txn_config(2), {{OpType::kPut, key_on_shard(2, 1, "b-"), "b"},
+                                {OpType::kGet, key_on_shard(2, 1, "c-"), ""}});
+  EXPECT_TRUE(t.outcome.committed);
+  EXPECT_EQ(t.actions, (std::vector<std::string>{"admit 1", "commit 1",
+                                                 "release 1"}));
+  EXPECT_EQ(t.barriers, 1u);
+}
+
+TEST(TxnStepOrderTest, SingleShardNoVoteReleasesWithNothingStaged) {
+  const TxnTrace t = trace_txn(
+      txn_config(1), {{OpType::kPut, "fine", "v"},
+                      {OpType::kPut, "big", std::string(70000, 'x')}});
+  EXPECT_FALSE(t.outcome.committed);
+  EXPECT_EQ(t.actions, (std::vector<std::string>{"admit 0", "commit 0",
+                                                 "release 0"}));
+  EXPECT_EQ(t.barriers, 0u) << "a no vote commits nothing to persist";
 }
 
 TEST(TxnStepOrderTest, ReadOnlyTxnStopsAfterPrepareWithNoBarrier) {

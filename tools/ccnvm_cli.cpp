@@ -552,9 +552,11 @@ int cmd_fuzz(int argc, char** argv) {
               static_cast<unsigned long long>(result.checks),
               static_cast<unsigned long long>(result.failures.size()));
   if (result.engine == fuzz::Engine::kTxn) {
-    std::printf("  txns aborted %llu  power cuts inside an abort %llu\n",
+    std::printf("  txns aborted %llu  power cuts inside an abort %llu  "
+                "after an early ack %llu\n",
                 static_cast<unsigned long long>(result.aborts),
-                static_cast<unsigned long long>(result.abort_cuts));
+                static_cast<unsigned long long>(result.abort_cuts),
+                static_cast<unsigned long long>(result.ack_cuts));
   }
   if (!result.ok()) {
     print_failures(result, out_path);
