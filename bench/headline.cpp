@@ -10,6 +10,7 @@
 // (per-design geomean IPC/writes, the claim deltas, and the run's
 // wall-clock; schema in docs/PERF.md) that CI tracks as
 // BENCH_headline.json.
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cc_nvm.h"
 #include "core/design.h"
 #include "core/tcb.h"
 #include "crypto/dispatch.h"
@@ -50,6 +52,23 @@ double measure_ops_per_sec(Fn&& fn) {
   }
   const double secs = std::chrono::duration<double>(clock::now() - start).count();
   return static_cast<double>(ops) / secs;
+}
+
+/// kvbench kv-b-large's engine: a store sized for 65 536 ycsb-b records
+/// on one shard, update limit 2^20, 1 024-entry DAQ and WPQ.
+ccnvm::store::StoreConfig kv_b_large_store() {
+  return ccnvm::store::StoreConfig::sized_for(
+      65536, ccnvm::trace::ycsb_by_name("ycsb-b").value_bytes, /*shards=*/1);
+}
+
+ccnvm::core::DesignConfig kv_b_large_design(
+    const ccnvm::store::StoreConfig& scfg) {
+  ccnvm::core::DesignConfig dcfg;
+  dcfg.data_capacity = ccnvm::store::capacity_for(scfg);
+  dcfg.update_limit = 1u << 20;
+  dcfg.daq_entries = 1024;
+  dcfg.wpq_entries = 1024;
+  return dcfg;
 }
 
 }  // namespace
@@ -275,14 +294,9 @@ int main(int argc, char** argv) {
       constexpr std::uint64_t kRecords = 65536;
       const std::uint32_t value_bytes =
           trace::ycsb_by_name("ycsb-b").value_bytes;
-      const store::StoreConfig scfg =
-          store::StoreConfig::sized_for(kRecords, value_bytes, /*shards=*/1);
-      core::DesignConfig dcfg;
-      dcfg.data_capacity = store::capacity_for(scfg);
-      dcfg.update_limit = 1u << 20;
-      dcfg.daq_entries = 1024;
-      dcfg.wpq_entries = 1024;
-      auto design = core::make_design(core::DesignKind::kCcNvm, dcfg);
+      const store::StoreConfig scfg = kv_b_large_store();
+      auto design = core::make_design(core::DesignKind::kCcNvm,
+                                      kv_b_large_design(scfg));
       store::SecureKvStore kv(dynamic_cast<core::SecureNvmBase&>(*design),
                               scfg);
       std::string value(value_bytes, 'v');
@@ -301,6 +315,46 @@ int main(int argc, char** argv) {
       doc.metrics.push_back({"throughput/kv_store_load",
                              static_cast<double>(kRecords / 2) / secs,
                              "puts/s"});
+    }
+
+    // One full DAQ drain at the same geometry, the case a per-line WPQ
+    // scan makes quadratic: write-backs to pages 0, 1, 2, ... fill the
+    // 1 024-entry DAQ to within one write-back's metadata path (untimed),
+    // then force_drain() recomputes the tracked tree nodes and streams
+    // every tracked line through the WPQ in one atomic batch. Every rep
+    // dirties the same lines, which after the first stay in the Meta
+    // Cache (a few per set), so no eviction drains early and every drain
+    // does the same work. The median of 15 drains, in drains/s.
+    {
+      auto design = core::make_design(core::DesignKind::kCcNvm,
+                                      kv_b_large_design(kv_b_large_store()));
+      auto& cc = dynamic_cast<core::CcNvmDesign&>(*design);
+      const std::uint64_t pages = cc.layout().num_pages();
+      const std::size_t path_lines = cc.layout().root_level();
+      Line wline{};
+      std::vector<double> drain_secs;
+      for (int rep = 0; rep < 15; ++rep) {
+        const std::uint64_t drains = cc.stats().drains;
+        wline[0] = static_cast<std::uint8_t>(rep);
+        for (std::uint64_t page = 0;
+             cc.daq().free_entries() >= path_lines && page < pages; ++page) {
+          cc.write_back(page * kPageSize, wline);
+        }
+        if (cc.stats().drains != drains) {
+          std::fprintf(stderr, "wpq drain bench: a drain fired while "
+                               "filling the DAQ\n");
+          return 1;
+        }
+        const auto d0 = std::chrono::steady_clock::now();
+        (void)cc.force_drain();
+        drain_secs.push_back(std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - d0)
+                                 .count());
+      }
+      std::sort(drain_secs.begin(), drain_secs.end());
+      doc.metrics.push_back({"throughput/wpq_drain_1024",
+                             1.0 / drain_secs[drain_secs.size() / 2],
+                             "drains/s"});
     }
 
     // Recovery/open cost: populate a file-backed cc-NVM store once, then

@@ -34,7 +34,7 @@ std::uint64_t CcNvmDesign::pre_write_back(Addr addr) {
     // doubly bumped) counter line and reports a spoof.
     sync_stall_ += drain(DrainCrashPoint::kNone, DrainTrigger::kUpdateLimit);
   }
-  const std::vector<Addr> addrs = metadata_addrs_for(addr);
+  const InlineVec<Addr, 32> addrs = metadata_addrs_for(addr);
   pending_daq_cycles_ = timing_.daq_lookup_latency * addrs.size();
   if (!daq_.can_accept(addrs)) {
     // Trigger (1): queue pressure. The drain blocks all further progress.

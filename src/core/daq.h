@@ -9,38 +9,44 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
-#include "common/check.h"
+#include "common/inline_vec.h"
+#include "common/line_index.h"
 #include "common/types.h"
 
 namespace ccnvm::core {
 
 class DirtyAddressQueue {
  public:
-  explicit DirtyAddressQueue(std::size_t capacity) : capacity_(capacity) {}
+  explicit DirtyAddressQueue(std::size_t capacity)
+      : capacity_(capacity), members_(capacity) {
+    ordered_.reserve(capacity);
+  }
 
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return ordered_.size(); }
   std::size_t free_entries() const { return capacity_ - ordered_.size(); }
   bool empty() const { return ordered_.empty(); }
+  /// The membership table's home slot for a line (common/line_index.h);
+  /// tests build colliding sets from it.
+  std::size_t home_slot(Addr line_addr) const {
+    return members_.home_slot(line_addr);
+  }
 
   bool contains(Addr line_addr) const {
-    return members_.contains(line_base(line_addr));
+    return members_.find(line_addr) != LineIndex::kAbsent;
   }
 
   /// Tracks a line. Returns false when the queue is full (the caller must
   /// drain first); duplicate pushes return true without consuming space.
   [[nodiscard]] bool push(Addr line_addr) {
-    const Addr line = line_base(line_addr);
-    if (members_.contains(line)) return true;
+    if (contains(line_addr)) return true;
     if (ordered_.size() >= capacity_) return false;
-    members_.insert(line);
-    ordered_.push_back(line);
+    members_.insert(line_addr, static_cast<std::uint32_t>(ordered_.size()));
+    ordered_.push_back(line_base(line_addr));
     return true;
   }
 
@@ -50,19 +56,16 @@ class DirtyAddressQueue {
   /// One write-back names a counter line plus its tree path (at most 26
   /// levels for any 4-ary layout of a 64-bit address space), so a linear
   /// scan of a fixed array dedupes them without a heap allocation.
-  bool can_accept(const std::vector<Addr>& addrs) const {
-    std::array<Addr, 32> fresh;
-    CCNVM_CHECK(addrs.size() <= fresh.size());
-    std::size_t needed = 0;
+  bool can_accept(const InlineVec<Addr, 32>& addrs) const {
+    InlineVec<Addr, 32> fresh;
     for (Addr a : addrs) {
       const Addr line = line_base(a);
-      const auto end = fresh.begin() + static_cast<std::ptrdiff_t>(needed);
-      if (!members_.contains(line) &&
-          std::find(fresh.begin(), end, line) == end) {
-        fresh[needed++] = line;
+      if (!contains(line) &&
+          std::find(fresh.begin(), fresh.end(), line) == fresh.end()) {
+        fresh.push_back(line);
       }
     }
-    return needed <= free_entries();
+    return fresh.size() <= free_entries();
   }
 
   /// Drain-time iteration: entries in insertion order.
@@ -75,7 +78,7 @@ class DirtyAddressQueue {
 
  private:
   std::size_t capacity_;
-  std::unordered_set<Addr> members_;
+  LineIndex members_;  // line -> position in ordered_
   std::vector<Addr> ordered_;
 };
 

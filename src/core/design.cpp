@@ -157,8 +157,8 @@ Line SecureNvmBase::logical_metadata(Addr line_addr) const {
   return meta_->node_line(layout_.node_id_of(line_addr));
 }
 
-std::vector<Addr> SecureNvmBase::metadata_addrs_for(Addr data_addr) const {
-  std::vector<Addr> addrs;
+InlineVec<Addr, 32> SecureNvmBase::metadata_addrs_for(Addr data_addr) const {
+  InlineVec<Addr, 32> addrs;
   addrs.push_back(layout_.counter_line_addr(data_addr));
   for (const nvm::NodeId& id : layout_.path_to_root(data_addr)) {
     addrs.push_back(layout_.node_addr(id));
@@ -175,7 +175,7 @@ void SecureNvmBase::persist_metadata(Addr line_addr, bool batched) {
   } else {
     controller_.write(line_addr, value, kind);
   }
-  updates_since_persist_.erase(line_addr);
+  if (kind == nvm::LineKind::kCounter) updates_since_persist_.erase(line_addr);
 }
 
 void SecureNvmBase::note_alert(Addr addr) {

@@ -28,6 +28,7 @@
 
 #include "cache/set_assoc_cache.h"
 #include "common/annotations.h"
+#include "common/inline_vec.h"
 #include "common/types.h"
 #include "core/meta_cache_group.h"
 #include "core/protocol_observer.h"
@@ -372,7 +373,7 @@ class SecureNvmBase : public SecureNvmDesign {
 
   /// Metadata line addresses a write-back of `data_addr` touches: the
   /// counter line plus all internal tree nodes on its path.
-  std::vector<Addr> metadata_addrs_for(Addr data_addr) const;
+  InlineVec<Addr, 32> metadata_addrs_for(Addr data_addr) const;
 
   DesignConfig config_;
   nvm::NvmLayout layout_;
@@ -387,8 +388,9 @@ class SecureNvmBase : public SecureNvmDesign {
   DesignStats stats_;
   const nvm::TimingParams& timing_;
 
-  /// Updates applied to a metadata line since its last persist — drives
+  /// Updates applied to a counter line since its last persist — drives
   /// Osiris Plus's stop-loss persistence and its online recovery cost.
+  /// Only counter lines are ever counted; tree lines never enter it.
   std::unordered_map<Addr, std::uint64_t> updates_since_persist_;
 
   std::vector<Addr> alerts_;

@@ -27,9 +27,8 @@ void MemoryController::write(Addr addr, const Line& value, LineKind kind) {
 Line MemoryController::read(Addr addr) {
   ++stats_.reads;
   // Read-own-write: an open batch may hold a newer version than media.
-  for (auto it = batch_.rbegin(); it != batch_.rend(); ++it) {
-    if (it->addr == line_base(addr)) return it->value;
-  }
+  const std::uint32_t at = batch_index_.find(addr);
+  if (at != LineIndex::kAbsent) return batch_[at].value;
   return image_->read_line(line_base(addr));
 }
 
@@ -45,13 +44,13 @@ bool MemoryController::batch_write(Addr addr, const Line& value,
   if (batch_.size() >= wpq_entries_) return false;
   // Coalesce re-writes of the same line within one batch (the WPQ holds
   // one entry per line address).
-  for (auto& entry : batch_) {
-    if (entry.addr == line_base(addr)) {
-      entry.value = value;
-      entry.kind = kind;
-      return true;
-    }
+  const std::uint32_t at = batch_index_.find(addr);
+  if (at != LineIndex::kAbsent) {
+    batch_[at].value = value;
+    batch_[at].kind = kind;
+    return true;
   }
+  batch_index_.insert(addr, static_cast<std::uint32_t>(batch_.size()));
   batch_.push_back({line_base(addr), value, kind});
   return true;
 }
@@ -68,12 +67,14 @@ void MemoryController::end_atomic_batch() {
   // stable media here (msync in SyncMode::kSync; see nvm/backend.h).
   image_->persist_barrier();
   batch_.clear();
+  batch_index_.clear();
   batch_open_ = false;
 }
 
 std::size_t MemoryController::crash() {
   const std::size_t dropped = batch_.size();
   batch_.clear();
+  batch_index_.clear();
   batch_open_ = false;
   return dropped;
 }

@@ -17,10 +17,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "common/annotations.h"
 #include "common/check.h"
+#include "common/line_index.h"
 #include "common/types.h"
 #include "nvm/image.h"
 
@@ -47,7 +48,9 @@ class MemoryController {
 
   explicit MemoryController(NvmImage& image,
                             std::size_t wpq_entries = kDefaultWpqEntries)
-      : image_(&image), wpq_entries_(wpq_entries) {}
+      : image_(&image), wpq_entries_(wpq_entries), batch_index_(wpq_entries) {
+    batch_.reserve(wpq_entries);
+  }
 
   /// Legacy-mode write: persists immediately under the ADR guarantee.
   void write(Addr addr, const Line& value, LineKind kind);
@@ -98,7 +101,8 @@ class MemoryController {
 
   NvmImage* image_;
   std::size_t wpq_entries_;
-  std::deque<PendingWrite> batch_;
+  std::vector<PendingWrite> batch_;  // insertion order = media order
+  LineIndex batch_index_;            // line -> position in batch_
   bool batch_open_ = false;
   TrafficStats stats_;
 };

@@ -87,9 +87,9 @@ NodeId NvmLayout::node_id_of(Addr mt_addr) const {
   return {};
 }
 
-std::vector<NodeId> NvmLayout::path_to_root(Addr data_addr) const {
+InlineVec<NodeId, 32> NvmLayout::path_to_root(Addr data_addr) const {
   CCNVM_CHECK(is_data_addr(data_addr));
-  std::vector<NodeId> path;
+  InlineVec<NodeId, 32> path;
   NodeId node{0, data_addr / kPageSize};
   while (node.level < depth_ - 1) {
     node = parent(node);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/inline_vec.h"
 #include "common/types.h"
 
 namespace ccnvm::nvm {
@@ -98,7 +99,8 @@ class NvmLayout {
 
   /// The tree path for a data address: its leaf counter line's ancestors
   /// from level 1 up to (and excluding) the root. Ordered bottom-up.
-  std::vector<NodeId> path_to_root(Addr data_addr) const;
+  /// Held inline: a 64-bit capacity has at most 2^52 pages, so at most 25 nodes.
+  InlineVec<NodeId, 32> path_to_root(Addr data_addr) const;
 
   /// Total physical footprint (end of the DH region).
   std::uint64_t total_bytes() const { return dh_base_ + dh_bytes_; }

@@ -1,6 +1,5 @@
 #include "secure/ecc.h"
 
-#include "common/bytes.h"
 #include "common/check.h"
 
 namespace ccnvm::secure {
@@ -39,7 +38,7 @@ constexpr std::array<std::uint64_t, 7> make_check_masks() {
 
 constexpr std::array<std::uint64_t, 7> kCheckMasks = make_check_masks();
 
-std::uint8_t hamming_bits(std::uint64_t word) {
+constexpr std::uint8_t hamming_bits(std::uint64_t word) {
   unsigned c = 0;
   for (int j = 0; j < 7; ++j) {
     c |= static_cast<unsigned>(parity64(word & kCheckMasks[j])) << j;
@@ -47,18 +46,44 @@ std::uint8_t hamming_bits(std::uint64_t word) {
   return static_cast<std::uint8_t>(c);  // 7 bits
 }
 
-}  // namespace
-
-std::uint8_t ecc_of_word(std::uint64_t word) {
+constexpr std::uint8_t bitwise_ecc(std::uint64_t word) {
   const std::uint8_t c = hamming_bits(word);
   const bool overall = parity64(word) ^ parity64(c);
   return static_cast<std::uint8_t>(c | (overall ? 0x80 : 0x00));
 }
 
+// Every check bit and the overall parity are XORs of data bits, so the
+// code is linear over GF(2): a word's ECC is the XOR of the ECCs of its
+// eight bytes, each in place. kByteEcc[b][v] is the ECC of a word whose
+// only nonzero byte is byte b (little-endian), holding v.
+constexpr std::array<std::array<std::uint8_t, 256>, 8> make_byte_ecc() {
+  std::array<std::array<std::uint8_t, 256>, 8> table{};
+  for (unsigned b = 0; b < 8; ++b) {
+    for (unsigned v = 0; v < 256; ++v) {
+      table[b][v] = bitwise_ecc(std::uint64_t{v} << (8 * b));
+    }
+  }
+  return table;
+}
+
+constexpr std::array<std::array<std::uint8_t, 256>, 8> kByteEcc =
+    make_byte_ecc();
+
+// The ECC of the little-endian word at `bytes`, by table.
+std::uint8_t table_ecc(const std::uint8_t* bytes) {
+  std::uint8_t e = 0;
+  for (std::size_t b = 0; b < 8; ++b) e ^= kByteEcc[b][bytes[b]];
+  return e;
+}
+
+}  // namespace
+
+std::uint8_t ecc_of_word(std::uint64_t word) { return bitwise_ecc(word); }
+
 EccBits ecc_of_line(const Line& line) {
   EccBits ecc;
   for (std::size_t w = 0; w < 8; ++w) {
-    ecc.bytes[w] = ecc_of_word(load_le64(line, w * 8));
+    ecc.bytes[w] = table_ecc(line.data() + w * 8);
   }
   return ecc;
 }
@@ -99,7 +124,7 @@ EccVerdict check_word(std::uint64_t word, std::uint8_t stored_ecc,
 
 bool line_matches_ecc(const Line& line, const EccBits& stored) {
   for (std::size_t w = 0; w < 8; ++w) {
-    if (ecc_of_word(load_le64(line, w * 8)) != stored.bytes[w]) return false;
+    if (table_ecc(line.data() + w * 8) != stored.bytes[w]) return false;
   }
   return true;
 }

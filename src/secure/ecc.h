@@ -33,10 +33,12 @@ enum class EccVerdict {
   kDoubleError,     // detected, uncorrectable
 };
 
-/// Computes the 8 ECC bits of one 64-bit word.
+/// Computes the 8 ECC bits of one 64-bit word, bit by bit from the code's
+/// definition.
 std::uint8_t ecc_of_word(std::uint64_t word);
 
-/// Computes the ECC of all eight words of a line.
+/// Computes the ECC of all eight words of a line (little-endian words):
+/// byte for byte ecc_of_word's, from a per-byte table.
 EccBits ecc_of_line(const Line& line);
 
 /// Checks a word against stored ECC. If a single-bit error is found and

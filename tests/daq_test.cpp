@@ -6,7 +6,9 @@
 // is a protocol bug the CCNVM_CHECK must name).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "common/check.h"
 #include "core/cc_nvm.h"
@@ -64,6 +66,63 @@ TEST(DaqTest, EntriesKeepInsertionOrder) {
   ASSERT_TRUE(daq.push(0x080));
   const std::vector<Addr> expected = {0x0c0, 0x000, 0x080};
   EXPECT_EQ(daq.entries(), expected);
+}
+
+/// `count` distinct line addresses that share one home slot in `daq`'s
+/// membership table, found by search from line 1 up.
+std::vector<Addr> colliding_lines(const DirtyAddressQueue& daq,
+                                  std::size_t count) {
+  std::vector<Addr> lines;
+  const std::size_t home = daq.home_slot(kLineSize);
+  for (Addr a = kLineSize; lines.size() < count; a += kLineSize) {
+    if (daq.home_slot(a) == home) lines.push_back(a);
+  }
+  return lines;
+}
+
+TEST(DaqTest, CollidingLinesAreAllTrackedAndFound) {
+  // A full queue of lines with one home slot is one probe run, every link
+  // of which must still be found, and lines off the run are not.
+  constexpr std::size_t kLines = 1024;
+  DirtyAddressQueue daq(kLines);
+  const std::vector<Addr> lines = colliding_lines(daq, kLines + 1);
+  for (std::size_t i = 0; i < kLines; ++i) {
+    ASSERT_TRUE(daq.push(lines[i])) << i;
+  }
+  EXPECT_EQ(daq.size(), kLines);
+  EXPECT_FALSE(daq.push(lines[kLines])) << "queue full";
+  EXPECT_FALSE(daq.contains(lines[kLines])) << "colliding, never pushed";
+  for (std::size_t i = 0; i < kLines; ++i) {
+    EXPECT_TRUE(daq.contains(lines[i] + 5)) << i;
+    EXPECT_TRUE(daq.push(lines[i])) << "duplicate is free";
+  }
+  for (Addr a = 0; a < 64 * kLineSize; a += kLineSize) {
+    const auto pushed = lines.begin() + kLines;
+    if (std::find(lines.begin(), pushed, a) != pushed) continue;
+    EXPECT_FALSE(daq.contains(a)) << a;
+  }
+  EXPECT_EQ(daq.size(), kLines);
+  EXPECT_EQ(daq.entries(),
+            std::vector<Addr>(lines.begin(), lines.begin() + kLines));
+}
+
+TEST(DaqTest, ClearForgetsEveryMemberAndAllRePush) {
+  constexpr std::size_t kLines = 1024;
+  DirtyAddressQueue daq(kLines);
+  const std::vector<Addr> chain = colliding_lines(daq, kLines / 2);
+  std::vector<Addr> lines;
+  for (std::size_t i = 0; i < kLines / 2; ++i) {
+    lines.push_back(chain[i]);                      // one probe run
+    lines.push_back((1ULL << 40) + i * kPageSize);  // and scattered lines
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (Addr a : lines) ASSERT_TRUE(daq.push(a)) << round;
+    ASSERT_EQ(daq.size(), kLines);
+    EXPECT_EQ(daq.entries(), lines) << "drain order is insertion order";
+    daq.clear();
+    EXPECT_TRUE(daq.empty());
+    for (Addr a : lines) ASSERT_FALSE(daq.contains(a)) << round;
+  }
 }
 
 // --- protocol-level capacity regressions --------------------------------

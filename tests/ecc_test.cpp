@@ -109,6 +109,59 @@ TEST(EccTest, LineEccCoversAllWords) {
   EXPECT_FALSE(line_matches_ecc(bad, ecc));
 }
 
+/// Per-word bitwise ECC of a line: the oracle for the byte-table encoder.
+EccBits word_by_word_ecc(const Line& line) {
+  EccBits ecc;
+  for (std::size_t w = 0; w < 8; ++w) {
+    ecc.bytes[w] = ecc_of_word(load_le64(line, w * 8));
+  }
+  return ecc;
+}
+
+TEST(EccTest, ByteTableLineEccMatchesWordEcc) {
+  const auto expect_same = [](const Line& line) {
+    const EccBits ecc = ecc_of_line(line);
+    ASSERT_EQ(ecc, word_by_word_ecc(line));
+    ASSERT_TRUE(line_matches_ecc(line, ecc));
+  };
+  Rng rng(1234);
+  Line line{};
+  for (int i = 0; i < 100000; ++i) {
+    for (std::size_t w = 0; w < 8; ++w) store_le64(line, w * 8, rng.next());
+    expect_same(line);
+  }
+  for (std::size_t bit = 0; bit < 8 * kLineSize; ++bit) {
+    line.fill(0);
+    line[bit / 8] = static_cast<std::uint8_t>(1u << (bit % 8));
+    expect_same(line);
+  }
+  for (std::size_t byte = 0; byte < kLineSize; ++byte) {
+    for (unsigned v = 0; v < 256; ++v) {
+      line.fill(0);
+      line[byte] = static_cast<std::uint8_t>(v);
+      expect_same(line);
+    }
+  }
+}
+
+TEST(EccTest, CheckWordCorrectsEveryBitOfATableCodedLine) {
+  Rng rng(77);
+  Line line{};
+  for (std::size_t w = 0; w < 8; ++w) store_le64(line, w * 8, rng.next());
+  const EccBits ecc = ecc_of_line(line);
+  for (std::size_t w = 0; w < 8; ++w) {
+    const std::uint64_t word = load_le64(line, w * 8);
+    ASSERT_EQ(check_word(word, ecc.bytes[w]), EccVerdict::kClean);
+    for (int bit = 0; bit < 64; ++bit) {
+      std::uint64_t fixed = 0;
+      ASSERT_EQ(check_word(word ^ (1ULL << bit), ecc.bytes[w], &fixed),
+                EccVerdict::kCorrectedSingle)
+          << "word " << w << " bit " << bit;
+      EXPECT_EQ(fixed, word);
+    }
+  }
+}
+
 TEST(EccTest, WrongCounterDecryptionFailsEcc) {
   // The Osiris oracle: ECC computed over plaintext; decrypting the
   // ciphertext with any wrong counter produces junk that fails the check.

@@ -100,6 +100,25 @@ TEST(LayoutTest, PathToRootIsBottomUpInternalNodes) {
   EXPECT_EQ(path.back().level, layout.root_level() - 1);
 }
 
+TEST(LayoutTest, InlinePathAt16GBIsTheParentChain) {
+  // The paper's geometry: 10 internal levels, held inline. Check first,
+  // middle and last page.
+  const NvmLayout layout(16ull << 30);
+  for (const std::uint64_t page :
+       {std::uint64_t{0}, layout.num_pages() / 3, layout.num_pages() - 1}) {
+    const Addr data = page * kPageSize + 5 * kLineSize;
+    const auto path = layout.path_to_root(data);
+    ASSERT_EQ(path.size(), 10u);
+    NodeId expect{0, page};
+    for (std::size_t i = 0; i < path.size(); ++i) {
+      expect = layout.parent(expect);
+      EXPECT_EQ(path[i], expect) << "page " << page << " level " << i + 1;
+    }
+    EXPECT_EQ(path.back().level, layout.root_level() - 1);
+    EXPECT_EQ(layout.parent(path.back()), (NodeId{layout.root_level(), 0}));
+  }
+}
+
 TEST(LayoutTest, LevelCountsShrinkByArity) {
   const NvmLayout layout(64ull << 20);
   std::uint64_t prev = layout.num_pages();
