@@ -15,12 +15,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/cc_nvm.h"
 #include "core/design.h"
-#include "core/tcb.h"
+#include "core/persistence.h"
 #include "crypto/dispatch.h"
 #include "crypto/hmac_sha1.h"
 #include "crypto/otp.h"
@@ -394,23 +395,14 @@ int main(int argc, char** argv) {
       double best_ms = 0.0;
       for (int rep = 0; rep < 3; ++rep) {
         const auto r0 = std::chrono::steady_clock::now();
-        auto backend = nvm::FileBackend::open(img);
-        if (backend == nullptr) {
+        std::optional<core::PoweredDown> dimm = core::open_dimm(img);
+        if (!dimm) {
           std::fprintf(stderr, "recovery bench: image reopen failed\n");
           return 1;
         }
-        std::uint8_t regs[nvm::Backend::kRegisterCapacity];
-        const std::size_t reg_len =
-            backend->load_registers(regs, sizeof(regs));
-        core::TcbRegisters tcb;
-        if (!core::decode_tcb(regs, reg_len, tcb)) {
-          std::fprintf(stderr, "recovery bench: image carries no TCB\n");
-          return 1;
-        }
-        nvm::NvmImage image(std::move(backend));
         auto design = core::make_design(core::DesignKind::kCcNvm, dcfg);
         auto* base = dynamic_cast<core::SecureNvmBase*>(design.get());
-        base->restore_from_power_down(std::move(image), tcb);
+        base->restore_from_power_down(std::move(dimm->image), dimm->tcb);
         const core::RecoveryReport report = design->recover();
         store::SecureKvStore kv = store::SecureKvStore::open(*base, scfg);
         const double ms =

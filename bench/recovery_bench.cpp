@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 
 #include "attacks/injector.h"
@@ -29,7 +30,7 @@
 #include "core/cc_nvm.h"
 #include "core/cc_nvm_plus.h"
 #include "core/design.h"
-#include "core/tcb.h"
+#include "core/persistence.h"
 #include "nvm/file_backend.h"
 #include "store/kv_store.h"
 #include "store/ycsb_runner.h"
@@ -278,15 +279,11 @@ bool reopen_once(const std::string& golden, const std::string& copy,
   std::filesystem::copy_file(golden, copy,
                              std::filesystem::copy_options::overwrite_existing);
   const auto t0 = std::chrono::steady_clock::now();
-  auto file = nvm::FileBackend::open(copy);
-  if (file == nullptr) return false;
-  std::uint8_t regs[nvm::Backend::kRegisterCapacity];
-  const std::size_t reg_len = file->load_registers(regs, sizeof(regs));
-  TcbRegisters tcb;
-  if (!decode_tcb(regs, reg_len, tcb)) return false;
+  std::optional<PoweredDown> dimm = open_dimm(copy);
+  if (!dimm) return false;
   auto design = make_design(DesignKind::kCcNvm, dc);
   auto* base = dynamic_cast<SecureNvmBase*>(design.get());
-  base->restore_from_power_down(nvm::NvmImage(std::move(file)), tcb);
+  base->restore_from_power_down(std::move(dimm->image), dimm->tcb);
   const auto t1 = std::chrono::steady_clock::now();
   const RecoveryReport report = design->recover();
   const auto t2 = std::chrono::steady_clock::now();

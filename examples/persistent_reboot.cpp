@@ -1,18 +1,21 @@
-// A full host power cycle: run, lose power, *exit the process* (here:
-// destroy every object), come back up in a "new machine", restore the
-// DIMM image + TCB registers from disk, recover, and read the data back.
+// A full host power cycle: run on a DIMM file, lose power, *exit the
+// process* (here: destroy every object), come back up in a "new
+// machine", power the DIMM file up again (lines + TCB registers),
+// recover, and read the data back.
 //
 //   $ ./build/examples/persistent_reboot [image-path]
 //
-// Run it twice with the same path: the second run finds the image from
+// Run it twice with the same path: the second run finds the DIMM from
 // the first and continues on top of it.
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/bytes.h"
 #include "core/cc_nvm.h"
 #include "core/persistence.h"
+#include "nvm/file_backend.h"
 
 using namespace ccnvm;
 
@@ -32,23 +35,35 @@ Line counter_record(std::uint64_t boots, std::uint64_t writes) {
   return l;
 }
 
+/// Powers the DIMM file up into a fresh design and recovers it; nullptr
+/// (after saying why) if there is no usable DIMM at `path`.
+std::unique_ptr<core::CcNvmDesign> boot_from(const std::string& path,
+                                             core::RecoveryReport& report) {
+  std::optional<core::PoweredDown> dimm = core::open_dimm(path);
+  if (!dimm) return nullptr;
+  auto nvm = std::make_unique<core::CcNvmDesign>(config(), true);
+  nvm->restore_from_power_down(std::move(dimm->image), dimm->tcb);
+  report = nvm->recover();
+  return nvm;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string path =
-      argc > 1 ? argv[1] : std::string("/tmp/ccnvm-reboot.img");
+      argc > 1 ? argv[1] : std::string("/tmp/ccnvm-reboot.dimm");
 
   std::uint64_t boots = 0, writes = 0;
 
-  // ---- Boot: either a factory-fresh DIMM or a restore from disk. -------
-  auto nvm = std::make_unique<core::CcNvmDesign>(config(), true);
-  if (core::restore_from_file(path, *nvm)) {
-    const core::RecoveryReport report = nvm->recover();
+  // ---- Boot: either a restore from the DIMM file or a fresh DIMM. -------
+  core::RecoveryReport report;
+  std::unique_ptr<core::CcNvmDesign> nvm = boot_from(path, report);
+  if (nvm != nullptr) {
     std::printf("restored image '%s': %s\n", path.c_str(),
                 report.detail.c_str());
     if (!report.clean) {
       std::printf("recovery found problems; starting fresh instead\n");
-      nvm = std::make_unique<core::CcNvmDesign>(config(), true);
+      nvm.reset();  // unmap the old DIMM before the fresh one truncates it
     } else {
       const Line rec = nvm->read_block(0).plaintext;
       boots = load_le64(rec, 0);
@@ -57,6 +72,13 @@ int main(int argc, char** argv) {
   } else {
     std::printf("no image at '%s': formatting a fresh secure DIMM\n",
                 path.c_str());
+  }
+  if (nvm == nullptr) {
+    core::DesignConfig fresh = config();
+    fresh.backend_factory = [&path](std::uint64_t bytes) {
+      return nvm::FileBackend::create(path, bytes);
+    };
+    nvm = std::make_unique<core::CcNvmDesign>(fresh, true);
   }
 
   ++boots;
@@ -72,22 +94,18 @@ int main(int argc, char** argv) {
   }
   nvm->write_back(0, counter_record(boots, writes));
 
-  // ---- Power loss mid-epoch, then save the surviving state. -------------
+  // ---- Power loss mid-epoch. The file is the DIMM: nothing to save. -----
   nvm->crash_power_loss();
-  if (!core::power_down_to_file(path, *nvm)) {
-    std::printf("failed to write '%s'\n", path.c_str());
-    return 1;
-  }
-  std::printf("power lost mid-epoch; DIMM + TCB registers saved to '%s'\n",
+  nvm.reset();
+  std::printf("power lost mid-epoch; DIMM + TCB registers remain in '%s'\n",
               path.c_str());
 
   // ---- Simulate the next boot right here to show the round trip. --------
-  auto next = std::make_unique<core::CcNvmDesign>(config(), true);
-  if (!core::restore_from_file(path, *next)) {
+  std::unique_ptr<core::CcNvmDesign> next = boot_from(path, report);
+  if (next == nullptr) {
     std::printf("restore failed\n");
     return 1;
   }
-  const core::RecoveryReport report = next->recover();
   std::printf("next boot: recovery %s (%llu counter retries)\n",
               report.clean ? "clean" : "FAILED",
               static_cast<unsigned long long>(report.total_retries));

@@ -117,8 +117,8 @@ struct DesignConfig {
   /// construction with the layout's total footprint in bytes. Null keeps
   /// the default volatile in-memory map. A file-backed factory should
   /// hand over a *freshly created* (empty) backend — the constructor
-  /// formats the DIMM from scratch; reopening an existing image goes
-  /// through restore_from_power_down() instead.
+  /// formats the DIMM from scratch; reopening an existing DIMM file goes
+  /// through core::open_dimm() and restore_from_power_down() instead.
   std::function<std::unique_ptr<nvm::Backend>(std::uint64_t)> backend_factory;
   nvm::TimingParams timing{};
 };
@@ -234,10 +234,11 @@ class SecureNvmBase : public SecureNvmDesign {
   /// state (cc-NVM: a drain; others: persist dirty lines).
   virtual void quiesce() {}
 
-  /// Installs a previously saved DIMM image + persistent registers into
+  /// Installs a powered-down DIMM image + persistent registers into
   /// this (freshly constructed, same-config, same-key-seed) system,
   /// leaving it in the post-crash state — the other half of a host power
-  /// cycle (see core/persistence.h). Call recover() next.
+  /// cycle (see core::open_dimm in core/persistence.h). Call recover()
+  /// next.
   void restore_from_power_down(nvm::NvmImage image, const TcbRegisters& tcb);
 
   /// Integrity failures observed at runtime since the last crash/reset.

@@ -1,64 +1,20 @@
 #include "core/persistence.h"
 
-#include <cstdio>
-#include <cstring>
 #include <memory>
+#include <utility>
 
-#include "nvm/image_io.h"
+#include "nvm/file_backend.h"
 
 namespace ccnvm::core {
-namespace {
 
-constexpr char kMagic[8] = {'C', 'C', 'N', 'V', 'M', 'T', 'C', 'B'};
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-std::string tcb_path(const std::string& path) { return path + ".tcb"; }
-
-// File format: 8-byte magic + the canonical TCB blob (core/tcb.h) — the
-// same encoding durable media backends mirror into their register slot.
-bool save_tcb(const std::string& path, const TcbRegisters& tcb) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return false;
-  const TcbBlob blob = encode_tcb(tcb);
-  if (std::fwrite(kMagic, sizeof(kMagic), 1, f.get()) != 1) return false;
-  return std::fwrite(blob.data(), blob.size(), 1, f.get()) == 1;
-}
-
-bool load_tcb(const std::string& path, TcbRegisters& tcb) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return false;
-  std::uint8_t magic[8];
-  if (std::fread(magic, sizeof(magic), 1, f.get()) != 1) return false;
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) return false;
-  TcbBlob blob;
-  if (std::fread(blob.data(), blob.size(), 1, f.get()) != 1) return false;
-  return decode_tcb(blob.data(), blob.size(), tcb);
-}
-
-}  // namespace
-
-bool power_down_to_file(const std::string& path, SecureNvmBase& design) {
-  CCNVM_CHECK_MSG(design.crashed(),
-                  "power_down_to_file models post-power-loss state; call "
-                  "crash_power_loss() (after quiesce() for an orderly "
-                  "shutdown) first");
-  if (!nvm::save_image(path, design.image())) return false;
-  return save_tcb(tcb_path(path), design.tcb());
-}
-
-bool restore_from_file(const std::string& path, SecureNvmBase& design) {
-  nvm::NvmImage image;
-  if (!nvm::load_image(path, image)) return false;
+std::optional<PoweredDown> open_dimm(const std::string& path) {
+  auto backend = nvm::FileBackend::open(path);
+  if (backend == nullptr) return std::nullopt;
+  std::uint8_t regs[nvm::Backend::kRegisterCapacity];
+  const std::size_t len = backend->load_registers(regs, sizeof(regs));
   TcbRegisters tcb;
-  if (!load_tcb(tcb_path(path), tcb)) return false;
-  design.restore_from_power_down(std::move(image), tcb);
-  return true;
+  if (!decode_tcb(regs, len, tcb)) return std::nullopt;
+  return PoweredDown{nvm::NvmImage(std::move(backend)), tcb};
 }
 
 }  // namespace ccnvm::core

@@ -1,14 +1,14 @@
-// Host-process power cycling: serialize everything that physically
-// survives a power failure — the DIMM image (nvm/image_io.h) and the
-// battery-backed TCB registers — so a secure NVM can be powered down in
-// one process and brought back up in another.
+// Host-process power cycling. What physically survives a power failure
+// is the DIMM and the battery-backed TCB registers; both live in one
+// durable DIMM file (nvm/file_backend.h), whose register slot mirrors the
+// TCB blob (core/tcb.h). A design built on that file through
+// DesignConfig::backend_factory writes its media and registers straight
+// into it, so powering down needs no save step: the file IS the DIMM.
 //
-// Usage for an unexpected power loss:
-//   design.crash_power_loss();
-//   core::power_down_to_file("dimm.img", design);
-//   ... process exits; later, a new process:
+// Bringing it back up, in this process or a later one:
+//   auto d = core::open_dimm("dimm.img");
 //   core::CcNvmDesign design(same_config, true);   // same keys!
-//   core::restore_from_file("dimm.img", design);
+//   design.restore_from_power_down(std::move(d->image), d->tcb);
 //   auto report = design.recover();
 //
 // The cryptographic keys are derived from DesignConfig::key_seed and are
@@ -16,19 +16,26 @@
 // (fuses), and an image restored under different keys is garbage.
 #pragma once
 
+#include <optional>
 #include <string>
 
-#include "core/design.h"
+#include "core/tcb.h"
+#include "nvm/image.h"
 
 namespace ccnvm::core {
 
-/// Saves the design's NVM image and persistent registers. The design must
-/// be in the crashed state (power has conceptually been lost already).
-bool power_down_to_file(const std::string& path, SecureNvmBase& design);
+/// A powered-down secure NVM: the DIMM contents on their file backend and
+/// the persistent registers its slot carried.
+struct PoweredDown {
+  nvm::NvmImage image;
+  TcbRegisters tcb;
+};
 
-/// Restores a file written by power_down_to_file into a freshly
-/// constructed design with the same configuration and key seed, leaving
-/// it crashed and ready for recover().
-bool restore_from_file(const std::string& path, SecureNvmBase& design);
+/// Powers up the DIMM file at `path`. Returns nullopt when the file is
+/// missing, foreign or truncated, or when its register slot holds no valid
+/// TCB blob — expected conditions for a crashed or tampered image, not
+/// bugs. The image is returned unrestored so a caller can attach an
+/// observer or tamper with it before restore_from_power_down().
+std::optional<PoweredDown> open_dimm(const std::string& path);
 
 }  // namespace ccnvm::core

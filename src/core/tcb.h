@@ -42,10 +42,10 @@ struct TcbRegisters {
 };
 
 // --- Fixed binary encoding ------------------------------------------------
-// One canonical little-endian blob shared by the host power-down files
-// (core/persistence.cpp) and the durable media backends, which mirror the
-// battery-backed registers next to the lines (nvm::Backend register slot)
-// so an image file carries the complete crash state.
+// One canonical little-endian blob. The durable media backends mirror the
+// battery-backed registers in it next to the lines (nvm::Backend register
+// slot), so a DIMM file carries the complete crash state; core::open_dimm
+// (core/persistence.h) decodes it at power-up.
 
 inline constexpr std::size_t kTcbBlobBytes = 2 * kLineSize + 8 + 1 + 8;
 using TcbBlob = std::array<std::uint8_t, kTcbBlobBytes>;

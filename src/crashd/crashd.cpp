@@ -25,7 +25,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/cc_nvm.h"
-#include "core/tcb.h"
+#include "core/persistence.h"
 #include "nvm/file_backend.h"
 #include "service/kv_service.h"
 #include "service/service_bench.h"
@@ -150,8 +150,7 @@ char ack_byte(const KvUnit& unit) { return unit.size() > 1 ? 'T' : 'A'; }
 std::unique_ptr<nvm::Backend> create_image(const std::string& path,
                                            std::uint64_t capacity_bytes) {
   // kNone: SIGKILL keeps the page cache, which is all this harness needs
-  // (see file comment in nvm/file_backend.h); kSync would model machine
-  // power cuts and msync on every batch.
+  // (see file comment in nvm/file_backend.h); no barrier pays an msync.
   return nvm::FileBackend::create(path, capacity_bytes,
                                   nvm::FileBackend::SyncMode::kNone);
 }
@@ -246,15 +245,10 @@ Reopened reopen(const std::string& path, core::DesignKind kind,
                 const std::function<void(nvm::NvmImage&,
                                          const core::SecureNvmBase&)>&
                     tamper = nullptr) {
-  auto backend = nvm::FileBackend::open(path);
-  CCNVM_CHECK_MSG(backend != nullptr,
-                  "crashd verify: image file missing or unreadable");
-  std::uint8_t regs[nvm::Backend::kRegisterCapacity];
-  const std::size_t reg_len = backend->load_registers(regs, sizeof(regs));
-  core::TcbRegisters tcb;
-  CCNVM_CHECK_MSG(core::decode_tcb(regs, reg_len, tcb),
-                  "crashd verify: image carries no valid TCB register blob");
-  nvm::NvmImage image(std::move(backend));
+  std::optional<core::PoweredDown> dimm = core::open_dimm(path);
+  CCNVM_CHECK_MSG(dimm.has_value(),
+                  "crashd verify: image file missing, unreadable or without "
+                  "a valid TCB register blob");
 
   Reopened r;
   r.design = core::make_design(kind, cfg);
@@ -263,8 +257,8 @@ Reopened reopen(const std::string& path, core::DesignKind kind,
   r.auditor = std::make_unique<audit::InvariantAuditor>(
       audit::InvariantAuditor::Options{.verify_image = true});
   r.auditor->attach(*r.base);
-  if (tamper) tamper(image, *r.base);
-  r.base->restore_from_power_down(std::move(image), tcb);
+  if (tamper) tamper(dimm->image, *r.base);
+  r.base->restore_from_power_down(std::move(dimm->image), dimm->tcb);
   r.report = r.design->recover();
   return r;
 }

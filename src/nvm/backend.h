@@ -21,7 +21,7 @@
 //   * persist_barrier() orders all previously written lines onto stable
 //     media. It models the ADR flush boundary: the memory controller
 //     calls it when the WPQ's atomic batch closes (§4.2). Volatile
-//     backends no-op; FileBackend msyncs in SyncMode::kSync.
+//     backends no-op; FileBackend msyncs and fsyncs in SyncMode::kBarrier.
 //   * store_registers()/load_registers() persist an opaque blob alongside
 //     the lines — the battery-backed TCB registers (ROOT_old/ROOT_new,
 //     N_wb) that the paper keeps in the controller. A durable backend
@@ -30,8 +30,8 @@
 //   * clone() deep-copies the *current contents* into a volatile
 //     MapBackend-backed copy (snapshots never alias the durable file).
 //   * for_each_line / for_each_ecc visit populated slots in ascending
-//     address order (MapBackend and FileBackend alike), so image_io's
-//     canonical serialization needs no sort.
+//     address order (MapBackend and FileBackend alike), so two images
+//     with equal contents are visited identically whatever backs them.
 #pragma once
 
 #include <array>

@@ -64,7 +64,8 @@ void MemoryController::end_atomic_batch() {
     account_write(w.kind);
   }
   // The ADR flush boundary: a durable backend orders the batch onto
-  // stable media here (msync in SyncMode::kSync; see nvm/backend.h).
+  // stable media here (msync + fsync in SyncMode::kBarrier; see
+  // nvm/backend.h).
   image_->persist_barrier();
   batch_.clear();
   batch_index_.clear();

@@ -76,17 +76,7 @@ std::unique_ptr<FileBackend> FileBackend::create(const std::string& path,
   auto backend = std::unique_ptr<FileBackend>(new FileBackend());
   backend->path_ = path;
   backend->sync_ = sync;
-  backend->capacity_lines_ = capacity_bytes / kLineSize;
-
-  const std::uint64_t bitmap_bytes =
-      round_up((backend->capacity_lines_ + 7) / 8, kPage);
-  backend->line_bitmap_off_ = kHeaderBytes;
-  backend->ecc_bitmap_off_ = backend->line_bitmap_off_ + bitmap_bytes;
-  backend->lines_off_ = backend->ecc_bitmap_off_ + bitmap_bytes;
-  backend->ecc_off_ =
-      backend->lines_off_ + backend->capacity_lines_ * kLineSize;
-  backend->map_bytes_ =
-      round_up(backend->ecc_off_ + backend->capacity_lines_ * 8, kPage);
+  backend->lay_out(capacity_bytes / kLineSize);
 
   backend->fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   CCNVM_CHECK_MSG(backend->fd_ >= 0, "file backend: cannot create image file");
@@ -110,9 +100,6 @@ std::unique_ptr<FileBackend> FileBackend::create(const std::string& path,
   put_u64(header + kOffRegisterLen, 0);
   // nvlint-waive-next(N3): format-time header init; no prior state to tear
   std::memcpy(backend->map_, header, kHeaderBytes);
-  if (sync == SyncMode::kSync) {
-    CCNVM_CHECK(::msync(backend->map_, backend->map_bytes_, MS_SYNC) == 0);
-  }
   if (unlink_after_create) ::unlink(path.c_str());
   return backend;
 }
@@ -142,18 +129,16 @@ std::unique_ptr<FileBackend> FileBackend::open(const std::string& path,
     return nullptr;
   }
   if (get_u64(header + kOffVersion) != kVersion) return nullptr;
-  backend->capacity_lines_ = get_u64(header + kOffCapacityLines);
-  if (backend->capacity_lines_ == 0) return nullptr;
-
-  const std::uint64_t bitmap_bytes =
-      round_up((backend->capacity_lines_ + 7) / 8, kPage);
-  backend->line_bitmap_off_ = kHeaderBytes;
-  backend->ecc_bitmap_off_ = backend->line_bitmap_off_ + bitmap_bytes;
-  backend->lines_off_ = backend->ecc_bitmap_off_ + bitmap_bytes;
-  backend->ecc_off_ =
-      backend->lines_off_ + backend->capacity_lines_ * kLineSize;
-  backend->map_bytes_ =
-      round_up(backend->ecc_off_ + backend->capacity_lines_ * 8, kPage);
+  // Every line owns at least 72 bytes of slots, so a capacity the file
+  // cannot hold is refused before any size arithmetic could wrap.
+  const std::uint64_t capacity_lines = get_u64(header + kOffCapacityLines);
+  if (capacity_lines == 0 ||
+      capacity_lines >
+          static_cast<std::uint64_t>(st.st_size) / (kLineSize + 8)) {
+    return nullptr;
+  }
+  if (get_u64(header + kOffRegisterLen) > kRegisterCapacity) return nullptr;
+  backend->lay_out(capacity_lines);
   if (static_cast<std::uint64_t>(st.st_size) < backend->map_bytes_) {
     return nullptr;  // truncated body
   }
@@ -167,6 +152,16 @@ std::unique_ptr<FileBackend> FileBackend::open(const std::string& path,
   backend->line_count_ = count_bits(backend->map_ + backend->line_bitmap_off_,
                                     backend->capacity_lines_);
   return backend;
+}
+
+void FileBackend::lay_out(std::uint64_t capacity_lines) {
+  capacity_lines_ = capacity_lines;
+  const std::uint64_t bitmap_bytes = round_up((capacity_lines + 7) / 8, kPage);
+  line_bitmap_off_ = kHeaderBytes;
+  ecc_bitmap_off_ = line_bitmap_off_ + bitmap_bytes;
+  lines_off_ = ecc_bitmap_off_ + bitmap_bytes;
+  ecc_off_ = lines_off_ + capacity_lines * kLineSize;
+  map_bytes_ = round_up(ecc_off_ + capacity_lines * 8, kPage);
 }
 
 FileBackend::~FileBackend() {
@@ -260,10 +255,8 @@ void FileBackend::for_each_ecc(
 }
 
 void FileBackend::persist_barrier() {
-  if (sync_ == SyncMode::kSync || sync_ == SyncMode::kBarrier) {
-    CCNVM_CHECK(::msync(map_, map_bytes_, MS_SYNC) == 0);
-  }
   if (sync_ == SyncMode::kBarrier) {
+    CCNVM_CHECK(::msync(map_, map_bytes_, MS_SYNC) == 0);
     // msync writes dirty pages back; fsync issues the device cache
     // flush, so a kBarrier barrier is durable through the disk's
     // volatile write cache — the full §4.2 ADR-drain analog.
@@ -279,16 +272,10 @@ void FileBackend::store_registers(const std::uint8_t* data, std::size_t len) {
   std::memcpy(map_ + kOffRegisters, data, len);
   // nvlint-waive-next(N3): length word of the same atomic register slot
   put_u64(map_ + kOffRegisterLen, len);
-  if (sync_ == SyncMode::kSync) {
-    // The registers are battery-backed in the paper's controller; in
-    // sync mode the header page is flushed so they are never staler
-    // than the lines after a barrier. kBarrier deliberately skips this:
-    // the registers ride the whole-mapping msync at the next barrier,
-    // modeling a controller without battery-backed registers whose
-    // durability point IS the persist barrier (a group commit or the end
-    // of an epoch drain).
-    CCNVM_CHECK(::msync(map_, kHeaderBytes, MS_SYNC) == 0);
-  }
+  // No flush here, in any mode: under kBarrier the registers ride the
+  // whole-mapping msync at the next barrier, modeling a controller whose
+  // register durability point IS the persist barrier (a group commit or
+  // the end of an epoch drain).
 }
 
 std::size_t FileBackend::load_registers(std::uint8_t* out,

@@ -18,15 +18,15 @@
 // assumptions without any msync in the hot path.
 //
 // msync is about the other failure model — losing the machine, not the
-// process. SyncMode::kSync flushes the mapping at every
-// persist_barrier() (the §4.2 ADR/WPQ batch boundary) and after every
-// register store, so the on-disk file is as fresh as the last barrier
-// even across a real power cut. The kill-9 sweep uses kNone: correct,
-// and orders of magnitude cheaper. SyncMode::kBarrier is the group-commit
-// middle ground used by the service layer: one whole-mapping msync per
-// persist_barrier() and nothing on register stores, so the per-barrier
-// cost is constant and amortizes across every op retired in the batch —
-// the power-cut image is exactly the state at the last barrier.
+// process. The kill-9 sweep uses SyncMode::kNone: correct, and orders of
+// magnitude cheaper. SyncMode::kBarrier is what the service layer uses:
+// one whole-mapping msync + fsync per persist_barrier() (the §4.2 ADR/WPQ
+// batch boundary) and nothing on register stores, so the per-barrier cost
+// is constant and amortizes across every op retired in the batch — the
+// power-cut image is exactly the state at the last barrier.
+//
+// This file is the one on-disk form of a powered-down secure NVM:
+// core::open_dimm (core/persistence.h) powers it back up.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +41,8 @@ class FileBackend final : public Backend {
  public:
   enum class SyncMode {
     kNone,     // page-cache durability: survives SIGKILL, not power loss
-    kSync,     // msync at persist points: survives power loss up to the
-               // last ADR barrier
-    kBarrier,  // msync only at persist_barrier(): survives power loss up
-               // to the last barrier — one flush per group commit
+    kBarrier,  // msync + fsync at persist_barrier(): survives power loss
+               // up to the last barrier — one flush per group commit
   };
 
   /// Creates (truncating) a file sized for `capacity_bytes` of line
@@ -57,9 +55,10 @@ class FileBackend final : public Backend {
                                              SyncMode sync = SyncMode::kNone,
                                              bool unlink_after_create = false);
 
-  /// Maps an existing image file, validating magic/version/size.
-  /// Returns nullptr if the file is missing, truncated, or garbage — an
-  /// expected condition for the crash/attack harnesses, not a bug.
+  /// Maps an existing image file, validating magic, version, size and
+  /// register length. Returns nullptr if the file is missing, truncated,
+  /// or garbage — an expected condition for the crash/attack harnesses
+  /// (the file is adversary-writable), not a bug.
   static std::unique_ptr<FileBackend> open(const std::string& path,
                                            SyncMode sync = SyncMode::kNone);
 
@@ -96,6 +95,9 @@ class FileBackend final : public Backend {
  private:
   FileBackend() = default;
 
+  /// Sets the capacity and the section offsets and mapping size it
+  /// implies (see the file layout above).
+  void lay_out(std::uint64_t capacity_lines);
   std::size_t slot_of(Addr addr) const;
   bool bit(std::uint64_t offset, std::size_t slot) const;
   void set_bit(std::uint64_t offset, std::size_t slot);

@@ -13,7 +13,9 @@
 // the out-of-process crash harness. NvmImage keeps the simulation-side
 // bookkeeping (write counts, wear, the write observer, the
 // record-contents switch) above the backend so every backend sees the
-// same accounting.
+// same accounting. That bookkeeping is the simulator's, not the DIMM's:
+// it does not survive a power cycle, which carries only what the backend
+// holds (lines, ECC and the register blob; see core/persistence.h).
 #pragma once
 
 #include <array>
@@ -124,24 +126,17 @@ class NvmImage {
 
   bool has_ecc(Addr addr) const { return backend_->has_ecc(line_base(addr)); }
 
-  // --- Deserialization entry points (see nvm/image_io.h) ------------------
-  // Unlike write_line, these restore state without counting writes or
-  // wear — loading an image is not a memory operation.
+  // --- Untracked media store ---------------------------------------------
+  // Unlike write_line, this sets a line without counting a write or wear:
+  // an adversary's tamper or a test's staged media state, not a memory
+  // operation.
 
   void restore_line(Addr addr, const Line& value) {
     CCNVM_CHECK(is_line_aligned(addr));
     backend_->write_line(addr, value);
   }
-  void restore_ecc(Addr addr, const std::array<std::uint8_t, 8>& ecc) {
-    CCNVM_CHECK(is_line_aligned(addr));
-    backend_->write_ecc(addr, ecc);
-  }
-  void restore_wear(Addr addr, std::uint64_t count) {
-    CCNVM_CHECK(is_line_aligned(addr));
-    wear_.at(addr) = count;
-  }
 
-  /// Visits every ECC side-band entry (for serialization).
+  /// Visits every ECC side-band entry, ascending.
   template <typename Fn>
   void for_each_ecc(Fn&& fn) const {
     backend_->for_each_ecc(

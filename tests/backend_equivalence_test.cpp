@@ -1,6 +1,6 @@
 // Backend equivalence: the same deterministic workload driven over a
 // map-backed and a file-backed design must leave bit-identical NVM
-// contents (canonical save_image bytes) and identical audit/fuzz
+// contents (canonical image bytes) and identical audit/fuzz
 // digests. This is what lets every in-process test vouch for the durable
 // path and vice versa.
 #include <gtest/gtest.h>
@@ -13,8 +13,8 @@
 #include "core/design.h"
 #include "fuzz/fuzz.h"
 #include "nvm/file_backend.h"
-#include "nvm/image_io.h"
 #include "store/ycsb_runner.h"
+#include "support/canonical_image.h"
 #include "trace/ycsb.h"
 
 namespace ccnvm {
@@ -29,22 +29,8 @@ std::string temp_path(const char* name) {
          "-" + info->name() + "-" + name;
 }
 
-std::vector<std::uint8_t> slurp(const std::string& path) {
-  std::vector<std::uint8_t> bytes;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  if (f == nullptr) return bytes;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return bytes;
-}
-
 /// Runs a fixed-seed YCSB workload on `kind` with an optional file
-/// backend and returns the canonical serialized image bytes.
+/// backend and returns the canonical image bytes.
 std::vector<std::uint8_t> ycsb_image_bytes(core::DesignKind kind,
                                            bool file_backend,
                                            const char* tag) {
@@ -73,10 +59,8 @@ std::vector<std::uint8_t> ycsb_image_bytes(core::DesignKind kind,
   options.seed = 2019;
   store::run_ycsb_workload(*base, store_config, workload, options);
 
-  const std::string img = temp_path((std::string("eq-") + tag + ".img").c_str());
-  EXPECT_TRUE(nvm::save_image(img, base->image()));
-  std::vector<std::uint8_t> bytes = slurp(img);
-  std::remove(img.c_str());
+  std::vector<std::uint8_t> bytes =
+      testsupport::canonical_image_bytes(base->image());
   std::remove(dimm.c_str());
   return bytes;
 }

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/tcb.h"
+#include "core/persistence.h"
 #include "nvm/backend.h"
 #include "nvm/file_backend.h"
 #include "nvm/image.h"
@@ -235,6 +237,54 @@ TEST(FileBackendTest, OpenRejectsGarbageAndMissingFiles) {
   std::remove(path.c_str());
 }
 
+/// A 20 480-byte DIMM file (64 lines) whose register slot holds a valid
+/// TCB blob, so open_dimm accepts it until a test spoils its header.
+std::string valid_small_dimm(const char* name) {
+  const std::string path = temp_path(name);
+  auto b = FileBackend::create(path, 64 * kLineSize);
+  b->write_line(0, pattern_line(1));
+  const core::TcbBlob blob = core::encode_tcb(core::TcbRegisters{});
+  b->store_registers(blob.data(), blob.size());
+  return path;
+}
+
+/// Overwrites the little-endian header word at `offset` of the DIMM file
+/// (layout in file_backend.cpp), as an adversary with the file could.
+void poke_header_word(const std::string& path, long offset,
+                      std::uint64_t value) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  std::uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(bytes, 1, sizeof(bytes), f), sizeof(bytes));
+  std::fclose(f);
+}
+
+TEST(FileBackendTest, OpenRejectsACapacityThatWrapsTheMapSize) {
+  const std::string path = valid_small_dimm("wrap.dimm");
+  ASSERT_EQ(std::filesystem::file_size(path), 20480u);
+  ASSERT_TRUE(core::open_dimm(path).has_value());
+  // 0x4a6886a4c2e10000 lines: the slot arithmetic wraps the mapping size
+  // to exactly this file's 20 480 bytes, so only a bound on the capacity
+  // itself keeps open() from reading bitmaps far past the mapping.
+  poke_header_word(path, 16, 5361683398586859520ull);
+  EXPECT_EQ(FileBackend::open(path), nullptr);
+  EXPECT_FALSE(core::open_dimm(path).has_value());
+  std::remove(path.c_str());
+}
+
+TEST(FileBackendTest, OpenRejectsAnOversizedRegisterLength) {
+  const std::string path = valid_small_dimm("reglen.dimm");
+  ASSERT_TRUE(core::open_dimm(path).has_value());
+  poke_header_word(path, 40, 1ull << 40);
+  EXPECT_EQ(FileBackend::open(path), nullptr);
+  EXPECT_FALSE(core::open_dimm(path).has_value());
+  std::remove(path.c_str());
+}
+
 TEST(FileBackendTest, CloneIsVolatileAndIndependent) {
   const std::string path = temp_path("clone.dimm");
   auto b = FileBackend::create(path, 64 * kPageSize);
@@ -312,11 +362,9 @@ TEST(NvmImageBackendTest, RegisterMirrorRoundTripsTcb) {
     const core::TcbBlob blob = core::encode_tcb(tcb);
     image.store_registers(blob.data(), blob.size());
   }
-  NvmImage reopened(FileBackend::open(path));
-  std::uint8_t buf[Backend::kRegisterCapacity];
-  const std::size_t len = reopened.load_registers(buf, sizeof(buf));
-  core::TcbRegisters tcb;
-  ASSERT_TRUE(core::decode_tcb(buf, len, tcb));
+  const std::optional<core::PoweredDown> reopened = core::open_dimm(path);
+  ASSERT_TRUE(reopened.has_value());
+  const core::TcbRegisters& tcb = reopened->tcb;
   EXPECT_EQ(tcb.n_wb, 42u);
   EXPECT_EQ(tcb.root_new, pattern_line(1));
   EXPECT_EQ(tcb.root_old, pattern_line(2));

@@ -1,15 +1,18 @@
-// Image serialization and host power cycling: a secure NVM saved to a
-// file and restored into a brand-new design must recover and serve every
-// committed (and ADR-covered) write.
+// Host power cycling through the DIMM file: a secure NVM run on a
+// FileBackend file and powered back up with core::open_dimm into a
+// brand-new design must recover and serve every committed (and
+// ADR-covered) write, and open_dimm must refuse a file whose register
+// slot does not hold a valid TCB blob.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "core/cc_nvm.h"
 #include "core/persistence.h"
-#include "nvm/image_io.h"
+#include "nvm/file_backend.h"
 
 namespace ccnvm::core {
 namespace {
@@ -29,33 +32,51 @@ DesignConfig small_config() {
   return c;
 }
 
+/// small_config() formatting a fresh DIMM file at `path`: life 1.
+DesignConfig dimm_config(const std::string& path) {
+  DesignConfig c = small_config();
+  c.backend_factory = [path](std::uint64_t bytes) {
+    return nvm::FileBackend::create(path, bytes);
+  };
+  return c;
+}
+
 std::string temp_path(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
 
+/// Life 2: powers the DIMM file up into a fresh small_config() design.
+/// Returns false if open_dimm refuses the file.
+bool power_up(const std::string& path, SecureNvmBase& design) {
+  std::optional<PoweredDown> dimm = open_dimm(path);
+  if (!dimm) return false;
+  design.restore_from_power_down(std::move(dimm->image), dimm->tcb);
+  return true;
+}
+
 TEST(ImageIoTest, RoundTripPreservesEverything) {
-  nvm::NvmImage image;
+  const std::string path = temp_path("img.dimm");
   Line a;
   a.fill(7);
-  image.write_line(0x40, a);
-  image.write_line(0x40, a);  // wear 2
-  image.write_ecc(0x40, {1, 2, 3, 4, 5, 6, 7, 8});
-
-  const std::string path = temp_path("img.bin");
-  ASSERT_TRUE(nvm::save_image(path, image));
-  nvm::NvmImage loaded;
-  ASSERT_TRUE(nvm::load_image(path, loaded));
-  EXPECT_EQ(loaded.read_line(0x40), a);
-  EXPECT_EQ(loaded.wear_of(0x40), 2u);
-  EXPECT_EQ(loaded.read_ecc(0x40), (std::array<std::uint8_t, 8>{1, 2, 3, 4,
-                                                                5, 6, 7, 8}));
-  EXPECT_EQ(loaded.populated_lines(), 1u);
+  {
+    nvm::NvmImage image(nvm::FileBackend::create(path, 64 * kPageSize));
+    image.write_line(0x40, a);
+    image.write_line(0x40, a);
+    image.write_ecc(0x40, {1, 2, 3, 4, 5, 6, 7, 8});
+    const TcbBlob blob = encode_tcb(TcbRegisters{});
+    image.store_registers(blob.data(), blob.size());
+  }
+  std::optional<PoweredDown> loaded = open_dimm(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->image.read_line(0x40), a);
+  EXPECT_EQ(loaded->image.read_ecc(0x40),
+            (std::array<std::uint8_t, 8>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(loaded->image.populated_lines(), 1u);
   std::remove(path.c_str());
 }
 
 TEST(ImageIoTest, MissingAndCorruptFilesFail) {
-  nvm::NvmImage image;
-  EXPECT_FALSE(nvm::load_image(temp_path("nope.bin"), image));
+  EXPECT_FALSE(open_dimm(temp_path("nope.bin")).has_value());
   const std::string path = temp_path("garbage.bin");
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -63,27 +84,27 @@ TEST(ImageIoTest, MissingAndCorruptFilesFail) {
     std::fputs("not an image", f);
     std::fclose(f);
   }
-  EXPECT_FALSE(nvm::load_image(path, image));
+  EXPECT_FALSE(open_dimm(path).has_value());
   std::remove(path.c_str());
 }
 
 TEST(PersistenceTest, PowerCycleRoundTrip) {
   const std::string path = temp_path("dimm.img");
-  // Life 1: write, commit some epochs, lose power mid-epoch, save.
+  // Life 1 on the DIMM file: write, commit some epochs, lose power
+  // mid-epoch. The file is the DIMM, so there is nothing to save.
   {
-    CcNvmDesign design(small_config(), /*deferred_spreading=*/true);
+    CcNvmDesign design(dimm_config(path), /*deferred_spreading=*/true);
     for (std::uint64_t i = 0; i < 30; ++i) {
       design.write_back(i * kLineSize, pattern_line(i));
     }
     design.force_drain();
     design.write_back(5 * kLineSize, pattern_line(500));  // uncommitted
     design.crash_power_loss();
-    ASSERT_TRUE(power_down_to_file(path, design));
   }
   // Life 2: a fresh machine with the same keys.
   {
     CcNvmDesign design(small_config(), /*deferred_spreading=*/true);
-    ASSERT_TRUE(restore_from_file(path, design));
+    ASSERT_TRUE(power_up(path, design));
     const RecoveryReport report = design.recover();
     ASSERT_TRUE(report.clean) << report.detail;
     EXPECT_EQ(design.read_block(5 * kLineSize).plaintext, pattern_line(500))
@@ -94,34 +115,31 @@ TEST(PersistenceTest, PowerCycleRoundTrip) {
     }
   }
   std::remove(path.c_str());
-  std::remove((path + ".tcb").c_str());
 }
 
 TEST(PersistenceTest, WrongKeysCannotAuthenticate) {
   const std::string path = temp_path("dimm2.img");
   {
-    CcNvmDesign design(small_config(), true);
+    CcNvmDesign design(dimm_config(path), true);
     design.write_back(0, pattern_line(1));
     design.quiesce();
     design.crash_power_loss();
-    ASSERT_TRUE(power_down_to_file(path, design));
   }
   {
     DesignConfig cfg = small_config();
     cfg.key_seed = 0x9999;  // different TCB fuses
     CcNvmDesign design(cfg, true);
-    ASSERT_TRUE(restore_from_file(path, design));
+    ASSERT_TRUE(power_up(path, design));
     const RecoveryReport report = design.recover();
     EXPECT_FALSE(report.clean)
         << "an image under foreign keys must not verify";
   }
   std::remove(path.c_str());
-  std::remove((path + ".tcb").c_str());
 }
 
 // The battery-backed TCB registers must survive the power cycle exactly —
-// recovery's ROOT_old/ROOT_new/N_wb reasoning is only sound if the file
-// round-trip is bit-faithful at *every* point the drain can die.
+// recovery's ROOT_old/ROOT_new/N_wb reasoning is only sound if the DIMM
+// file's register slot is bit-faithful at *every* point the drain can die.
 class DrainCrashPersistenceTest
     : public ::testing::TestWithParam<DrainCrashPoint> {};
 
@@ -133,17 +151,16 @@ TEST_P(DrainCrashPersistenceTest, TcbRegistersSurviveThePowerCycle) {
       std::to_string(static_cast<int>(GetParam()));
   TcbRegisters saved;
   {
-    CcNvmDesign design(small_config(), /*deferred_spreading=*/true);
+    CcNvmDesign design(dimm_config(path), /*deferred_spreading=*/true);
     for (std::uint64_t i = 0; i < 24; ++i) {
       design.write_back(i * kLineSize, pattern_line(i));
     }
     design.drain_and_crash(GetParam());
     saved = design.tcb();
-    ASSERT_TRUE(power_down_to_file(path, design));
   }
   {
     CcNvmDesign design(small_config(), /*deferred_spreading=*/true);
-    ASSERT_TRUE(restore_from_file(path, design));
+    ASSERT_TRUE(power_up(path, design));
     EXPECT_EQ(design.tcb().root_old, saved.root_old);
     EXPECT_EQ(design.tcb().root_new, saved.root_new);
     EXPECT_EQ(design.tcb().n_wb, saved.n_wb);
@@ -158,7 +175,6 @@ TEST_P(DrainCrashPersistenceTest, TcbRegistersSurviveThePowerCycle) {
     }
   }
   std::remove(path.c_str());
-  std::remove((path + ".tcb").c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -178,78 +194,73 @@ INSTANTIATE_TEST_SUITE_P(
       return "unknown";
     });
 
-// Writes a crashed design to `path`, then lets `spoil` damage the .tcb
-// sidecar; restore_from_file must refuse rather than feed recovery a
-// half-read register file.
-void expect_restore_rejects(
-    const char* name, const std::function<void(const std::string&)>& spoil) {
+// Runs a crashed design on the DIMM file at `path`, then lets `spoil`
+// damage the file's register slot; open_dimm must refuse rather than feed
+// recovery a half-read register file.
+void expect_open_rejects(
+    const char* name, const std::function<void(nvm::FileBackend&)>& spoil) {
   const std::string path = temp_path(name);
   {
-    CcNvmDesign design(small_config(), true);
+    CcNvmDesign design(dimm_config(path), true);
     design.write_back(0, pattern_line(1));
     design.quiesce();
     design.crash_power_loss();
-    ASSERT_TRUE(power_down_to_file(path, design));
   }
-  spoil(path + ".tcb");
-  CcNvmDesign design(small_config(), true);
-  EXPECT_FALSE(restore_from_file(path, design));
+  {
+    auto file = nvm::FileBackend::open(path);
+    ASSERT_NE(file, nullptr);
+    spoil(*file);
+  }
+  EXPECT_FALSE(open_dimm(path).has_value());
   std::remove(path.c_str());
-  std::remove((path + ".tcb").c_str());
 }
 
 TEST(PersistenceTest, TruncatedTcbFileFails) {
-  expect_restore_rejects("trunc.img", [](const std::string& tcb) {
-    std::FILE* f = std::fopen(tcb.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("CCNV", f);  // valid prefix, far too short
-    std::fclose(f);
+  expect_open_rejects("trunc.img", [](nvm::FileBackend& file) {
+    const TcbBlob blob = encode_tcb(TcbRegisters{});
+    file.store_registers(blob.data(), 4);  // valid prefix, far too short
   });
 }
 
 TEST(PersistenceTest, CorruptTcbMagicFails) {
-  expect_restore_rejects("badmagic.img", [](const std::string& tcb) {
-    std::FILE* f = std::fopen(tcb.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fputc('X', f);  // clobber the first magic byte in place
-    std::fclose(f);
+  expect_open_rejects("badmagic.img", [](nvm::FileBackend& file) {
+    TcbBlob blob;
+    ASSERT_EQ(file.load_registers(blob.data(), blob.size()), blob.size());
+    blob[2 * kLineSize + 8] = 2;  // the overflow flag byte: neither 0 nor 1
+    file.store_registers(blob.data(), blob.size());
   });
 }
 
 TEST(PersistenceTest, MissingTcbFileFails) {
-  expect_restore_rejects("notcb.img", [](const std::string& tcb) {
-    std::remove(tcb.c_str());
-  });
-}
-
-TEST(PersistenceTest, RequiresCrashedState) {
-  CcNvmDesign design(small_config(), true);
-  design.write_back(0, pattern_line(1));
-  EXPECT_DEATH(power_down_to_file(temp_path("x.img"), design),
-               "power_down_to_file");
+  // A DIMM file whose register slot was never written.
+  const std::string path = temp_path("notcb.img");
+  {
+    nvm::NvmImage image(nvm::FileBackend::create(path, 64 * kPageSize));
+    image.write_line(0, pattern_line(1));
+  }
+  EXPECT_FALSE(open_dimm(path).has_value());
+  std::remove(path.c_str());
 }
 
 TEST(PersistenceTest, OrderlyShutdownNeedsZeroRetries) {
   const std::string path = temp_path("dimm3.img");
   {
-    CcNvmDesign design(small_config(), true);
+    CcNvmDesign design(dimm_config(path), true);
     for (std::uint64_t i = 0; i < 10; ++i) {
       design.write_back(i * kLineSize, pattern_line(i));
     }
     design.quiesce();  // orderly: commit the epoch before pulling power
     design.crash_power_loss();
-    ASSERT_TRUE(power_down_to_file(path, design));
   }
   {
     CcNvmDesign design(small_config(), true);
-    ASSERT_TRUE(restore_from_file(path, design));
+    ASSERT_TRUE(power_up(path, design));
     const RecoveryReport report = design.recover();
     ASSERT_TRUE(report.clean);
     EXPECT_EQ(report.total_retries, 0u)
         << "a committed epoch leaves nothing to brute-force";
   }
   std::remove(path.c_str());
-  std::remove((path + ".tcb").c_str());
 }
 
 }  // namespace

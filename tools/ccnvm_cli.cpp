@@ -89,6 +89,17 @@ int cmd_list() {
   return 0;
 }
 
+/// Whether `mib` MiB is a capacity NvmLayout accepts: non-zero, no
+/// overflow in bytes, and a page count that is a power of the tree arity.
+bool valid_capacity_mib(std::uint64_t mib) {
+  if (mib == 0 || mib > std::numeric_limits<std::uint64_t>::max() >> 20) {
+    return false;
+  }
+  std::uint64_t pages = (mib << 20) / kPageSize;
+  while (pages % nvm::NvmLayout::kArity == 0) pages /= nvm::NvmLayout::kArity;
+  return pages == 1;
+}
+
 int cmd_geometry(std::uint64_t mib) {
   const std::uint64_t cap = mib << 20;
   const nvm::NvmLayout layout(cap);
@@ -697,7 +708,7 @@ int cmd_nvlint(int argc, char** argv) {
 int usage() {
   std::fprintf(stderr,
                "usage: ccnvm list\n"
-               "       ccnvm geometry <MiB>\n"
+               "       ccnvm geometry <MiB: a power of 4>\n"
                "       ccnvm run <workload> <design> [refs=300000]\n"
                "       ccnvm compare <workload> [refs=300000]\n"
                "       ccnvm demo <recovery|attack>\n"
@@ -742,7 +753,7 @@ int main(int argc, char** argv) {
   if (cmd == "list") return cmd_list();
   if (cmd == "geometry" && argc >= 3) {
     const auto mib = parse_u64(argv[2]);
-    return mib ? cmd_geometry(*mib) : usage();
+    return mib && valid_capacity_mib(*mib) ? cmd_geometry(*mib) : usage();
   }
   if (cmd == "run" && argc >= 4) {
     const auto refs = arg_u64(argc, argv, 4, 300000);

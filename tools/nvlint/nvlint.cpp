@@ -454,9 +454,9 @@ const std::set<std::string>& barrier_calls() {
 // write primitives count as persistent writes in the caller, no matter
 // which object they are invoked on.
 const std::set<std::string>& builtin_writes() {
-  static const std::set<std::string> s = {"write_line",    "write_ecc",
-                                          "restore_line",  "restore_ecc",
-                                          "write_back",    "store_registers"};
+  static const std::set<std::string> s = {"write_line",   "write_ecc",
+                                          "restore_line", "write_back",
+                                          "store_registers"};
   return s;
 }
 
