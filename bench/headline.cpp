@@ -79,8 +79,12 @@ int main(int argc, char** argv) {
 
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc &&
+        argv[i + 1][0] != '-') {
       json_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--json FILE]\n", argv[0]);
+      return 2;
     }
   }
 

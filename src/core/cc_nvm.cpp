@@ -192,6 +192,9 @@ std::uint64_t CcNvmDesign::drain(DrainCrashPoint point,
   if (injected) point = armed_crash_;
   armed_crash_ = DrainCrashPoint::kNone;
   const auto power_lost = [&](std::uint64_t busy) -> std::uint64_t {
+    // ADR writes the WPQ's pending DH line at power loss; it must be on
+    // media before a kill-9 hook fires too.
+    flush_pending_dh();
     draining_ = false;
     if (injected) {
       if (power_loss_hook_) power_loss_hook_();

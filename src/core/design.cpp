@@ -335,6 +335,7 @@ std::uint64_t SecureNvmBase::reencrypt_page(
   // re-encrypted under (major+1, 0) with a fresh data HMAC.
   std::uint64_t busy = 0;
   if (!functional()) return busy;  // overflow cannot trigger without counters
+  flush_pending_dh();  // the loops below read DH lines from the image
   const std::uint64_t new_major = old_counters.major + 1;
   const crypto::PadCounter fresh{new_major, 0};
   // Pass 1 — pure crypto, no NVM writes yet: decrypt/re-encrypt each
@@ -398,7 +399,54 @@ std::uint64_t SecureNvmBase::reencrypt_page(
   return busy;
 }
 
+std::uint64_t SecureNvmDesign::write_blocks(std::span<const Addr> addrs,
+                                            std::span<const Line> lines) {
+  CCNVM_CHECK(addrs.size() == lines.size());
+  std::uint64_t busy = 0;
+  for (std::size_t i = 0; i < addrs.size(); ++i) {
+    busy += write_back(addrs[i], lines[i]);
+  }
+  return busy;
+}
+
 std::uint64_t SecureNvmBase::write_back(Addr addr, const Line& plaintext) {
+  return write_blocks({&addr, 1}, {&plaintext, 1});
+}
+
+std::uint64_t SecureNvmBase::write_blocks(std::span<const Addr> addrs,
+                                          std::span<const Line> lines) {
+  CCNVM_CHECK(addrs.size() == lines.size());
+  // The last DH line lands when the group ends, also when an injected
+  // power cut unwinds it (the drain has flushed it by then).
+  struct FlushAtEnd {
+    SecureNvmBase& self;
+    ~FlushAtEnd() { self.flush_pending_dh(); }
+  } flush_at_end{*this};
+  std::uint64_t busy = 0;
+  for (std::size_t i = 0; i < addrs.size(); ++i) {
+    busy += write_back_line(addrs[i], lines[i]);
+  }
+  return busy;
+}
+
+void SecureNvmBase::flush_pending_dh() {
+  if (pending_dh_.addr == ~Addr{0}) return;
+  controller_.write(pending_dh_.addr, pending_dh_.line,
+                    nvm::LineKind::kDataHmac);
+  pending_dh_.addr = ~Addr{0};
+}
+
+Line& SecureNvmBase::pending_dh_line(Addr dh_addr) {
+  if (pending_dh_.addr != dh_addr) {
+    flush_pending_dh();
+    pending_dh_ = {dh_addr,
+                   functional() ? image_.read_line(dh_addr) : zero_line()};
+  }
+  return pending_dh_.line;
+}
+
+std::uint64_t SecureNvmBase::write_back_line(Addr addr,
+                                             const Line& plaintext) {
   const ScopedCheckContext check_ctx(name(), commit_epoch_, "write_back");
   CCNVM_CHECK_MSG(!crashed_, "write_back on a crashed system");
   CCNVM_CHECK(layout_.is_data_addr(addr) && is_line_aligned(addr));
@@ -451,13 +499,12 @@ std::uint64_t SecureNvmBase::write_back(Addr addr, const Line& plaintext) {
     // ECC over the *plaintext* rides the DIMM side band with the line
     // (Osiris's recovery oracle; no extra write transaction).
     image_.write_ecc(addr, secure::ecc_of_line(plaintext).bytes);
-    Line dh_line = image_.read_line(dh_addr);
-    secure::set_dh_tag_in_line(dh_line, layout_.dh_offset_in_line(addr),
+    secure::set_dh_tag_in_line(pending_dh_line(dh_addr),
+                               layout_.dh_offset_in_line(addr),
                                cme_.data_hmac(ct, addr, pc));
-    controller_.write(dh_addr, dh_line, nvm::LineKind::kDataHmac);
   } else {
     controller_.write(addr, zero_line(), nvm::LineKind::kData);
-    controller_.write(dh_addr, zero_line(), nvm::LineKind::kDataHmac);
+    (void)pending_dh_line(dh_addr);
   }
 
   busy += on_write_back_metadata(addr, counter_was_cached, crypt_cycles);

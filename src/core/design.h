@@ -159,6 +159,15 @@ class SecureNvmDesign {
   /// quantity that differentiates the designs' IPC (§5.1).
   virtual std::uint64_t write_back(Addr addr, const Line& plaintext) = 0;
 
+  /// Batch write-back, the mirror of read_blocks: writes lines[i] to
+  /// addrs[i] in order, with the same protocol, stats and alerts as a
+  /// write_back per line, and returns the summed busy cycles. The base
+  /// class overrides this to write each data-HMAC line once per run of
+  /// consecutive lines that share it instead of once per line (see
+  /// SecureNvmBase::write_blocks); every other write is unchanged.
+  virtual std::uint64_t write_blocks(std::span<const Addr> addrs,
+                                     std::span<const Line> lines);
+
   /// An LLC miss served from NVM: fetch, decrypt, authenticate.
   virtual ReadResult read_block(Addr addr) = 0;
 
@@ -207,7 +216,22 @@ class SecureNvmBase : public SecureNvmDesign {
   SecureNvmBase(const SecureNvmBase&) = delete;
   SecureNvmBase& operator=(const SecureNvmBase&) = delete;
 
+  /// A group of one: write_blocks over this single line.
   std::uint64_t write_back(Addr addr, const Line& plaintext) final;
+  /// Runs today's per-line write-back protocol on each line, in order,
+  /// except for the data-HMAC (DH) line: it stays pending on chip while
+  /// the following lines patch the same DH line, and is written once,
+  /// when the first of these comes (docs/MODEL.md §5b):
+  ///   * the next line maps to a different DH line;
+  ///   * the group ends, also when it unwinds;
+  ///   * a page re-encryption starts (it reads DH lines from the image);
+  ///   * an injected drain crash is about to cut power.
+  /// The pending line models an ADR-protected WPQ entry, durable at power
+  /// loss, so at every crash point the image is byte-identical to a
+  /// write_back loop's; only the DH write count falls. The group is not
+  /// an atomic batch: it adds no persist barrier.
+  std::uint64_t write_blocks(std::span<const Addr> addrs,
+                             std::span<const Line> lines) final;
   ReadResult read_block(Addr addr) final;
   std::vector<ReadResult> read_blocks(std::span<const Addr> addrs) final;
   void crash_power_loss() final;
@@ -364,6 +388,10 @@ class SecureNvmBase : public SecureNvmDesign {
 
   void note_alert(Addr addr);
 
+  /// Writes the write_blocks group's pending DH line, if there is one.
+  /// A drain calls this before it cuts power (see write_blocks).
+  void flush_pending_dh();
+
   /// Mirrors the battery-backed TCB registers into the NVM backend's
   /// register slot (no-op in timing-only mode). Called wherever the
   /// registers change durably — after N_wb bumps, root recomputes,
@@ -420,6 +448,17 @@ class SecureNvmBase : public SecureNvmDesign {
     Addr addr = ~Addr{0};
     Line line{};
   };
+
+  /// One line's write-back protocol; its DH line goes to pending_dh_.
+  std::uint64_t write_back_line(Addr addr, const Line& plaintext);
+
+  /// The pending DH line switched to `dh_addr`: the previous one is
+  /// written first, and a new one starts from its image copy.
+  Line& pending_dh_line(Addr dh_addr);
+
+  /// The DH line the current write_blocks group has patched and not yet
+  /// written; addr is ~0 outside a group.
+  DhLineCache pending_dh_;
 
   /// read_block's body. With `defer == nullptr` the decrypt and the
   /// data-HMAC check run inline (the public read_block); otherwise both

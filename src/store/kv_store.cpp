@@ -279,6 +279,23 @@ std::string SecureKvStore::read_value(std::size_t shard, const Entry& e) {
   return value;
 }
 
+SecureKvStore::LineGroup SecureKvStore::value_extent(
+    std::size_t shard, std::uint64_t extent, std::string_view value) const {
+  LineGroup g;
+  const std::uint64_t n = value_lines(value.size());
+  g.addrs.reserve(n);
+  g.lines.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    Line l{};
+    const std::size_t off = static_cast<std::size_t>(i) * kLineSize;
+    std::memcpy(l.data(), value.data() + off,
+                std::min<std::size_t>(kLineSize, value.size() - off));
+    g.addrs.push_back(heap_addr(shard, extent + i));
+    g.lines.push_back(l);
+  }
+  return g;
+}
+
 bool SecureKvStore::put(std::string_view key, std::string_view value) {
   const ShardStateLock lock(shard_serial_);
   ++stats_.puts;
@@ -302,15 +319,11 @@ bool SecureKvStore::put(std::string_view key, std::string_view value) {
     return false;
   }
 
-  // Phase 1: the value, to lines no committed header references.
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Line l{};
-    const std::size_t off = static_cast<std::size_t>(i) * kLineSize;
-    std::memcpy(l.data(), value.data() + off,
-                std::min<std::size_t>(kLineSize, value.size() - off));
-    nvm_->write_back(heap_addr(shard, *extent + i), l);
-    ++stats_.value_line_writes;
-  }
+  // Phase 1: the value, to lines no committed header references, as one
+  // write-back group.
+  const LineGroup v = value_extent(shard, *extent, value);
+  nvm_->write_blocks(v.addrs, v.lines);
+  stats_.value_line_writes += n;
 
   // Phase 2: the header flip — the operation's single commit point.
   Entry e;

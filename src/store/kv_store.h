@@ -383,6 +383,17 @@ class SecureKvStore {
 
   std::string read_value(std::size_t shard, const Entry& e);
 
+  /// Lines for one write_blocks group, in write order.
+  struct LineGroup {
+    std::vector<Addr> addrs;
+    std::vector<Line> lines;
+  };
+
+  /// `value` cut into lines (the last one zero-padded) at the consecutive
+  /// heap lines of `shard` from `extent` on.
+  LineGroup value_extent(std::size_t shard, std::uint64_t extent,
+                         std::string_view value) const;
+
   // --- Transaction internals --------------------------------------------
   /// Journal status-line states.
   static constexpr std::uint8_t kTxnFree = 0;

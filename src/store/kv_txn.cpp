@@ -194,14 +194,9 @@ bool SecureKvStore::stage_txn(Txn& txn, std::vector<StagedTxnOp>& staged) {
       staged.clear();
       return false;
     }
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Line l{};
-      const std::size_t off = static_cast<std::size_t>(i) * kLineSize;
-      std::memcpy(l.data(), value.data() + off,
-                  std::min<std::size_t>(kLineSize, value.size() - off));
-      nvm_->write_back(heap_addr(shard, *extent + i), l);
-      ++stats_.value_line_writes;
-    }
+    const LineGroup v = value_extent(shard, *extent, value);
+    nvm_->write_blocks(v.addrs, v.lines);
+    stats_.value_line_writes += n;
     StagedTxnOp s;
     s.shard = shard;
     s.bucket = match ? *match : *insert_slot;
@@ -227,17 +222,22 @@ bool SecureKvStore::stage_txn(Txn& txn, std::vector<StagedTxnOp>& staged) {
     return false;
   }
 
-  // Journal the intent pairs. The status line still reads free, so none
-  // of these lines is reachable yet — a crash here loses nothing.
+  // Journal the intent pairs, contiguous lines, as one write-back group.
+  // The status line still reads free, so none of these lines is reachable
+  // yet — a crash here loses nothing.
+  LineGroup journal;
   for (std::size_t i = 0; i < staged.size(); ++i) {
     Line meta{};
     std::memcpy(meta.data(), kMagicMeta, sizeof(kMagicMeta));
     store_le32(meta, 4, static_cast<std::uint32_t>(staged[i].shard));
     store_le64(meta, 8, staged[i].bucket);
-    nvm_->write_back(txn_meta_addr(i), meta);
-    nvm_->write_back(txn_header_addr(i), encode_header(staged[i].entry));
-    stats_.txn_journal_writes += 2;
+    journal.addrs.push_back(txn_meta_addr(i));
+    journal.lines.push_back(meta);
+    journal.addrs.push_back(txn_header_addr(i));
+    journal.lines.push_back(encode_header(staged[i].entry));
   }
+  nvm_->write_blocks(journal.addrs, journal.lines);
+  stats_.txn_journal_writes += journal.lines.size();
   return true;
 }
 

@@ -3,7 +3,13 @@
 // traffic accounting, and runtime integrity auditing.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
+#include "core/cc_nvm.h"
 #include "core/design.h"
 
 namespace ccnvm::core {
@@ -167,6 +173,21 @@ TEST_P(DesignTest, EachWritebackAdvancesNwbUntilDesignResets) {
   }
 }
 
+std::string design_param_name(
+    const ::testing::TestParamInfo<DesignKind>& info) {
+  switch (info.param) {
+    case DesignKind::kWoCc: return "WoCc";
+    case DesignKind::kStrict: return "SC";
+    case DesignKind::kOsirisPlus: return "OsirisPlus";
+    case DesignKind::kCcNvmNoDs: return "CcNvmNoDs";
+    case DesignKind::kCcNvm: return "CcNvm";
+    case DesignKind::kCcNvmPlus: return "CcNvmPlus";
+    case DesignKind::kTriadNvm: return "TriadNvm";
+    case DesignKind::kPhoenix: return "Phoenix";
+  }
+  return "unknown";
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDesigns, DesignTest,
                          ::testing::Values(DesignKind::kWoCc,
                                            DesignKind::kStrict,
@@ -175,19 +196,223 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, DesignTest,
                                            DesignKind::kCcNvm,
                                            DesignKind::kTriadNvm,
                                            DesignKind::kPhoenix),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case DesignKind::kWoCc: return "WoCc";
-                             case DesignKind::kStrict: return "SC";
-                             case DesignKind::kOsirisPlus: return "OsirisPlus";
-                             case DesignKind::kCcNvmNoDs: return "CcNvmNoDs";
-                             case DesignKind::kCcNvm: return "CcNvm";
-                             case DesignKind::kCcNvmPlus: return "CcNvmPlus";
-                             case DesignKind::kTriadNvm: return "TriadNvm";
-                             case DesignKind::kPhoenix: return "Phoenix";
-                           }
-                           return "unknown";
-                         });
+                         design_param_name);
+
+// --- write_blocks: one group against the same lines as a write_back loop
+
+void expect_same_stats(const DesignStats& a, const DesignStats& b) {
+  EXPECT_EQ(a.write_backs, b.write_backs);
+  EXPECT_EQ(a.reads, b.reads);
+  EXPECT_EQ(a.drains, b.drains);
+  EXPECT_EQ(a.drains_by_trigger, b.drains_by_trigger);
+  EXPECT_EQ(a.page_reencryptions, b.page_reencryptions);
+  EXPECT_EQ(a.hmac_ops, b.hmac_ops);
+  EXPECT_EQ(a.aes_ops, b.aes_ops);
+  EXPECT_EQ(a.online_counter_recoveries, b.online_counter_recoveries);
+  EXPECT_EQ(a.engine_busy_cycles, b.engine_busy_cycles);
+  EXPECT_EQ(a.drain_cycles, b.drain_cycles);
+  EXPECT_EQ(a.read_latency_cycles, b.read_latency_cycles);
+  EXPECT_EQ(a.runtime_alerts, b.runtime_alerts);
+}
+
+/// Every line (data, DH, counters, tree) and ECC side-band entry, plus the
+/// register slot. Wear counters are left out: they count DH writes.
+struct ImageContents {
+  std::vector<std::pair<Addr, Line>> lines;
+  std::vector<std::pair<Addr, nvm::EccBytes>> ecc;
+  TcbBlob registers{};
+  bool operator==(const ImageContents&) const = default;
+};
+
+ImageContents contents_of(const nvm::NvmImage& image) {
+  ImageContents c;
+  image.for_each_line(
+      [&](Addr a, const Line& l) { c.lines.emplace_back(a, l); });
+  image.for_each_ecc(
+      [&](Addr a, const nvm::EccBytes& e) { c.ecc.emplace_back(a, e); });
+  image.load_registers(c.registers.data(), c.registers.size());
+  return c;
+}
+
+/// Two twins of one design: `group` takes each extent as one write_blocks
+/// call, `loop` as a write_back per line.
+struct Twins {
+  std::unique_ptr<SecureNvmDesign> group;
+  std::unique_ptr<SecureNvmDesign> loop;
+  /// Lines that shared the DH line of the line before them in a group.
+  std::uint64_t shared = 0;
+
+  Twins(DesignKind kind, const DesignConfig& cfg)
+      : group(make_design(kind, cfg)), loop(make_design(kind, cfg)) {}
+
+  void write(const std::vector<Addr>& addrs, const std::vector<Line>& lines) {
+    group->write_blocks(addrs, lines);
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+      loop->write_back(addrs[i], lines[i]);
+      if (i > 0 && group->layout().dh_line_addr(addrs[i]) ==
+                       group->layout().dh_line_addr(addrs[i - 1])) {
+        ++shared;
+      }
+    }
+  }
+};
+
+class WriteBlocksTest : public ::testing::TestWithParam<DesignKind> {};
+
+TEST_P(WriteBlocksTest, GroupMatchesTheLoopButWritesSharedDhLinesOnce) {
+  for (const bool functional : {true, false}) {
+    SCOPED_TRACE(functional ? "functional" : "timing-only");
+    DesignConfig cfg = small_config();
+    cfg.functional = functional;
+    Twins t(GetParam(), cfg);
+    Rng rng(31);
+    const std::uint64_t lines = cfg.data_capacity / kLineSize;
+    std::uint64_t tag = 0;
+    for (int g = 0; g < 120; ++g) {
+      // Extents of 1..9 consecutive lines, some across page boundaries;
+      // every fifth group strides, so its DH lines alternate.
+      const std::uint64_t n = 1 + rng.below(9);
+      const std::uint64_t stride = g % 5 == 4 ? 5 : 1;
+      const std::uint64_t first = rng.below(lines - n * stride);
+      std::vector<Addr> addrs;
+      std::vector<Line> data;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        addrs.push_back((first + i * stride) * kLineSize);
+        data.push_back(pattern_line(++tag));
+      }
+      t.write(addrs, data);
+    }
+    ASSERT_EQ(t.group->stats().page_reencryptions, 0u);
+    ASSERT_GT(t.shared, 100u) << "the run must actually share DH lines";
+    expect_same_stats(t.group->stats(), t.loop->stats());
+    const nvm::TrafficStats& a = t.group->traffic();
+    const nvm::TrafficStats& b = t.loop->traffic();
+    EXPECT_EQ(a.data_writes, b.data_writes);
+    EXPECT_EQ(a.counter_writes, b.counter_writes);
+    EXPECT_EQ(a.mt_writes, b.mt_writes);
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.dh_writes + t.shared, b.dh_writes);
+    if (functional) {
+      EXPECT_TRUE(contents_of(t.group->image()) ==
+                  contents_of(t.loop->image()));
+    }
+  }
+}
+
+TEST_P(WriteBlocksTest, OverflowOnTheSecondLineReencryptsWithTheDhFlushed) {
+  // Block 1 of page 2 sits at its minor's ceiling; the group writes the
+  // never-written block 0, then block 1, whose increment overflows. The
+  // page re-encryption must see block 0's fresh tag, which is still
+  // pending in the group's DH line when the overflow starts.
+  Twins t(GetParam(), small_config());
+  const Addr block0 = 2 * kPageSize;
+  const Addr block1 = block0 + kLineSize;
+  for (std::uint64_t i = 0; i < secure::CounterBlock::kMinorMax; ++i) {
+    t.write({block1}, {pattern_line(i)});
+  }
+  ASSERT_EQ(t.group->stats().page_reencryptions, 0u);
+  t.write({block0, block1}, {pattern_line(1000), pattern_line(1001)});
+  EXPECT_EQ(t.group->stats().page_reencryptions, 1u);
+  expect_same_stats(t.group->stats(), t.loop->stats());
+  EXPECT_TRUE(contents_of(t.group->image()) ==
+              contents_of(t.loop->image()));
+  // The re-encryption flushed the shared line, so nothing was saved.
+  EXPECT_EQ(t.group->traffic().dh_writes, t.loop->traffic().dh_writes);
+  for (SecureNvmDesign* d : {t.group.get(), t.loop.get()}) {
+    const ReadResult r0 = d->read_block(block0);
+    const ReadResult r1 = d->read_block(block1);
+    EXPECT_TRUE(r0.integrity_ok);
+    EXPECT_TRUE(r1.integrity_ok);
+    EXPECT_EQ(r0.plaintext, pattern_line(1000));
+    EXPECT_EQ(r1.plaintext, pattern_line(1001));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDesigns, WriteBlocksTest,
+                         ::testing::Values(DesignKind::kWoCc,
+                                           DesignKind::kStrict,
+                                           DesignKind::kOsirisPlus,
+                                           DesignKind::kCcNvmNoDs,
+                                           DesignKind::kCcNvm,
+                                           DesignKind::kCcNvmPlus,
+                                           DesignKind::kTriadNvm,
+                                           DesignKind::kPhoenix),
+                         design_param_name);
+
+class WriteBlocksCrashTest : public ::testing::TestWithParam<DrainCrashPoint> {
+};
+
+TEST_P(WriteBlocksCrashTest, DrainCrashMidGroupRecoversClean) {
+  // update_limit = 1: the first line's counter update fires a drain while
+  // that line's DH tag is still pending in the group, and the armed crash
+  // cuts power there. What the power-loss hook sees is what a kill-9
+  // leaves (crashd kills from the hook, so nothing unwinds): that image
+  // must match a write_back loop's and recover clean.
+  DesignConfig cfg = small_config();
+  cfg.update_limit = 1;
+  const std::vector<Addr> addrs = {8 * kLineSize, 9 * kLineSize,
+                                   10 * kLineSize, 11 * kLineSize};
+  const std::vector<Line> data = {pattern_line(1), pattern_line(2),
+                                  pattern_line(3), pattern_line(4)};
+  struct AtCut {
+    std::optional<nvm::NvmImage> image;
+    TcbRegisters tcb;
+  };
+  const auto cut = [&](bool grouped) {
+    CcNvmDesign d(cfg, /*deferred_spreading=*/true);
+    AtCut at;
+    d.set_power_loss_hook([&] {
+      at.image = d.image();
+      at.tcb = d.tcb();
+    });
+    d.arm_drain_crash(GetParam());
+    try {
+      if (grouped) {
+        d.write_blocks(addrs, data);
+      } else {
+        for (std::size_t i = 0; i < addrs.size(); ++i) {
+          d.write_back(addrs[i], data[i]);
+        }
+      }
+      ADD_FAILURE() << "the armed drain never fired";
+    } catch (const InjectedPowerLoss&) {
+    }
+    return at;
+  };
+  AtCut group = cut(/*grouped=*/true);
+  const AtCut loop = cut(/*grouped=*/false);
+  ASSERT_TRUE(group.image.has_value() && loop.image.has_value());
+  EXPECT_TRUE(contents_of(*group.image) == contents_of(*loop.image));
+
+  CcNvmDesign reboot(cfg, /*deferred_spreading=*/true);
+  reboot.restore_from_power_down(std::move(*group.image), group.tcb);
+  const RecoveryReport report = reboot.recover();
+  ASSERT_TRUE(report.clean);
+  EXPECT_TRUE(report.metadata_recovered);
+  EXPECT_FALSE(report.attack_detected);
+  EXPECT_TRUE(report.tampered_blocks.empty());
+  EXPECT_TRUE(report.replayed_nodes.empty());
+  const ReadResult r = reboot.read_block(addrs[0]);
+  EXPECT_TRUE(r.integrity_ok);
+  EXPECT_EQ(r.plaintext, data[0]);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryDrainCrashPoint, WriteBlocksCrashTest,
+    ::testing::Values(DrainCrashPoint::kMidBatch,
+                      DrainCrashPoint::kAfterBatchBeforeEnd,
+                      DrainCrashPoint::kAfterEndBeforeCommit),
+    [](const auto& info) {
+      switch (info.param) {
+        case DrainCrashPoint::kMidBatch: return "MidBatch";
+        case DrainCrashPoint::kAfterBatchBeforeEnd:
+          return "AfterBatchBeforeEnd";
+        case DrainCrashPoint::kAfterEndBeforeCommit:
+          return "AfterEndBeforeCommit";
+        case DrainCrashPoint::kNone: break;
+      }
+      return "None";
+    });
 
 TEST(DesignComparisonTest, WriteTrafficOrderingMatchesPaper) {
   // SC writes the whole branch per write-back; cc-NVM batches per epoch;

@@ -142,6 +142,21 @@ TEST(StoreTest, HeapExhaustionFailsPutGracefully) {
   EXPECT_GT(kv.stats().failed_puts, 0u);
 }
 
+TEST(StoreTest, TwoLinePutWritesOneDhLineForItsValue) {
+  // A fresh shard's first extent starts at a 4-line-aligned heap line, so
+  // a 2-line value shares one DH line: the value group writes it once and
+  // the header flip writes its own (3 DH writes as a write_back loop).
+  core::CcNvmDesign design(small_design_config(), /*deferred_spreading=*/true);
+  SecureKvStore kv(design, small_store_config());
+  const nvm::TrafficStats before = design.traffic();
+  ASSERT_TRUE(kv.put("k", value_of(100, 'v')));
+  EXPECT_EQ(kv.stats().value_line_writes, 2u);
+  EXPECT_EQ(kv.stats().header_writes, 1u);
+  EXPECT_EQ(design.traffic().data_writes - before.data_writes, 3u);
+  EXPECT_EQ(design.traffic().dh_writes - before.dh_writes, 2u);
+  EXPECT_EQ(kv.get("k").value(), value_of(100, 'v'));
+}
+
 TEST(StoreTest, TombstonesAreReusedByLaterInserts) {
   core::CcNvmDesign design(small_design_config(), /*deferred_spreading=*/true);
   StoreConfig cfg = small_store_config();

@@ -68,6 +68,34 @@ TEST(TxnTest, CommitAppliesEveryBufferedOp) {
   EXPECT_EQ(kv.stats().txn_commits, 1u);
 }
 
+TEST(TxnTest, JournalRunWritesEachDhLineOnce) {
+  // A 3-erase txn journals 3 (meta, header) pairs at data lines 514..519
+  // (the status line is 512 = 2 shards x 256 lines), which span two DH
+  // lines. Erases stage no value lines, so at kAfterStage the txn has
+  // written only its journal: 6 lines, 2 DH lines (6 as a loop).
+  core::CcNvmDesign design(small_design_config(), /*deferred_spreading=*/true);
+  SecureKvStore kv(design, txn_store_config());
+  for (const char* k : {"a", "b", "c"}) ASSERT_TRUE(kv.put(k, "1"));
+  const nvm::TrafficStats before = design.traffic();
+  std::optional<nvm::TrafficStats> staged;
+  kv.set_txn_test_hook([&](SecureKvStore::TxnCrashPhase phase) {
+    if (phase == SecureKvStore::TxnCrashPhase::kAfterStage) {
+      staged = design.traffic();
+    }
+  });
+  Txn txn = kv.begin_txn();
+  for (const char* k : {"a", "b", "c"}) txn.erase(k);
+  ASSERT_TRUE(kv.commit_txn(txn));
+  ASSERT_TRUE(staged.has_value());
+  EXPECT_EQ(staged->data_writes - before.data_writes, 6u);
+  EXPECT_EQ(staged->dh_writes - before.dh_writes, 2u);
+  // Then the status flip, 3 tombstone headers and the release: one line
+  // and one DH line each.
+  EXPECT_EQ(design.traffic().dh_writes - staged->dh_writes, 5u);
+  EXPECT_EQ(kv.stats().txn_journal_writes, 6u + 2u);
+  EXPECT_EQ(kv.size(), 0u);
+}
+
 TEST(TxnTest, LastWriterWinsPerKeyAndPendingExposesTheBuffer) {
   core::CcNvmDesign design(small_design_config(), /*deferred_spreading=*/true);
   SecureKvStore kv(design, txn_store_config());
