@@ -218,7 +218,7 @@ class SecureNvmBase : public SecureNvmDesign {
 
   /// A group of one: write_blocks over this single line.
   std::uint64_t write_back(Addr addr, const Line& plaintext) final;
-  /// Runs today's per-line write-back protocol on each line, in order,
+  /// Runs the per-line write-back protocol on each line, in order,
   /// except for the data-HMAC (DH) line: it stays pending on chip while
   /// the following lines patch the same DH line, and is written once,
   /// when the first of these comes (docs/MODEL.md §5b):
